@@ -26,6 +26,11 @@ COEFFICIENT_TOL = 1e-12
 
 COEFFICIENT_NAMES = ("B", "C", "D", "E")
 
+# Classes per block of the all-partition scan, and a cap on block entries
+# (classes times cuts) that keeps its temporaries small at large n.
+_BLOCK_CLASSES = 16
+_BLOCK_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True)
 class BlockCoefficients:
@@ -157,8 +162,11 @@ def coefficient_arrays(
     lp = state.lambda_plus
     lm = state.lambda_minus
     idx = np.arange(lp.size) ^ partition.alpha2.bits
-    ep = lp[idx]
-    em = lm[idx]
+    return _coefficients_from_weights(lp, lm, lp[idx], lm[idx])
+
+
+def _coefficients_from_weights(lp, lm, ep, em):
+    """(B, C, D, E) of classes with weights (lp, lm) and partner weights (ep, em)."""
     return (lp - lm + ep + em, lp + lm - ep + em, lp + lm + ep - em, -lp + lm + ep + em)
 
 
@@ -181,15 +189,105 @@ def is_ppt(
     return value >= -tol, witness
 
 
+def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum block coefficient of every bipartition, from one pruned scan.
+
+    Returns ``(values, classes, codes)`` in ``enumerate_bipartitions``
+    order: each cut's minimum coefficient, the class it belongs to and its
+    index into ``COEFFICIENT_NAMES``.  These are bit-identical to the
+    ``argmin`` over the stacked (B, C, D, E) table of ``is_ppt``, tie-break
+    included.
+
+    With s = lambda_plus + lambda_minus, d = lambda_plus - lambda_minus and
+    partner k = j ^ alpha2, the pair {j, k} contributes min(B_j, E_j) =
+    s_k - |d_j| and min(C_k, D_k) = s_k - |d_j| as well, so the minimum of
+    cut alpha2 is min_j (s[j ^ alpha2] - |d_j|).  Classes are visited in
+    decreasing |d_j|, a block of them against every cut at once, and the
+    scan stops once min(s) - |d_j| exceeds the largest minimum found so
+    far: no later class can reach any cut's minimum.  Flat |d|, as in the
+    maximally mixed state, defeats the bound and visits every class.
+    """
+    lp = state.lambda_plus
+    lm = state.lambda_minus
+    n_cls = lp.size
+    alpha2 = np.arange(n_cls - 1, 0, -1)
+    s = lp + lm
+    neg_abs_d = -np.abs(lp - lm)
+    order = np.argsort(neg_abs_d, kind="stable")
+    # Each coefficient below is evaluated in the operation order of the
+    # B, C, D, E formulas, so the values are exact table entries; the
+    # margin covers the rounding between them and the bound's s - |d|.
+    margin = 8.0 * np.finfo(float).eps * float(s.max())
+    floor = float(s.min())
+    best = np.full(alpha2.size, np.inf)
+    row = np.zeros(alpha2.size, dtype=np.int64)
+    step = max(1, min(_BLOCK_CLASSES, _BLOCK_ENTRIES // alpha2.size))
+    for start in range(0, n_cls, step):
+        if floor + neg_abs_d[order[start]] - margin > best.max():
+            break
+        j = order[start : start + step, None]
+        k = j ^ alpha2
+        ep = lp[k]
+        em = lm[k]
+        # min(B_j, E_j) in row j and min(C_k, D_k) in row k.
+        be = neg_abs_d[j] + ep
+        be += em
+        cd = ep + em  # s[k]: the same sum of the same weights
+        coef_d = cd + lp[j]
+        coef_d -= lm[j]
+        cd -= lp[j]
+        cd += lm[j]
+        np.minimum(cd, coef_d, out=cd)
+        low = np.minimum(be.min(axis=0), cd.min(axis=0))
+        # A block changes a cut only by lowering its minimum or by tying it
+        # in a smaller row; skip the row search when it does neither.
+        reach = np.minimum(k.min(axis=0), j.min())
+        if not ((low < best) | ((low == best) & (reach < row))).any():
+            continue
+        at = np.minimum(
+            np.where(be == low, j, n_cls).min(axis=0), np.where(cd == low, k, n_cls).min(axis=0)
+        )
+        take = (low < best) | ((low == best) & (at < row))
+        best[take] = low[take]
+        row[take] = at[take]
+    partner = row ^ alpha2
+    table = np.stack(
+        _coefficients_from_weights(lp[row], lm[row], lp[partner], lm[partner]), axis=1
+    )
+    codes = np.argmin(table, axis=1)
+    return table[np.arange(row.size), codes], row, codes
+
+
+def partition_thresholds(state: GhzDiagonalState) -> np.ndarray:
+    """White-noise threshold of every bipartition, in enumeration order.
+
+    Every coefficient is affine in the mixing probability and equals 2/2^n
+    at full depolarization, so a cut with minimum M < 0 turns PPT at
+    -M / (2/2^n - M), clamped to [0, 1]; cuts already PPT have threshold 0.
+    """
+    minima = partition_minima(state)[0]
+    uniform = 2.0 / (1 << state.n)
+    neg = np.minimum(minima, 0.0)
+    return np.where(minima < 0.0, np.clip(-neg / (uniform - neg), 0.0, 1.0), 0.0)
+
+
 def classify(state: GhzDiagonalState, tol: float = COEFFICIENT_TOL) -> ClassificationReport:
     """Scan every bipartition; fully entangled iff none is PPT."""
-    verdicts = []
-    for partition in enumerate_bipartitions(state.n):
-        ppt, worst = is_ppt(state, partition, tol)
-        verdicts.append(PartitionVerdict(partition, ppt, worst))
+    values, classes, codes = partition_minima(state)
+    n = state.n
+    verdicts = tuple(
+        PartitionVerdict(
+            partition,
+            value >= -tol,
+            CoefficientWitness(SubsetMask(k, n), COEFFICIENT_NAMES[c], value),
+        )
+        for partition, value, k, c in zip(
+            enumerate_bipartitions(n), values.tolist(), classes.tolist(), codes.tolist()
+        )
+    )
     return ClassificationReport(
-        n=state.n,
-        partitions=tuple(verdicts),
+        n=n,
+        partitions=verdicts,
         full_entangled=not any(v.is_ppt for v in verdicts),
     )
 
@@ -217,7 +315,7 @@ def full_entanglement_threshold(state: GhzDiagonalState) -> float:
     The minimum over partitions of the per-partition threshold: past it,
     some partition is PPT and hence biseparable.
     """
-    return min(noise_threshold(state, p) for p in enumerate_bipartitions(state.n))
+    return float(partition_thresholds(state).min())
 
 
 __all__ = [
@@ -234,4 +332,6 @@ __all__ = [
     "full_entanglement_threshold",
     "is_ppt",
     "noise_threshold",
+    "partition_minima",
+    "partition_thresholds",
 ]

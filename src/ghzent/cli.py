@@ -11,18 +11,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
 
 import numpy as np
 
-from .analytic import (
+# noise_threshold and full_entanglement_threshold are not called here; they
+# stay importable from this module because tools that trace the CLI wrap
+# its analytic calls by these names.
+from .analytic import (  # noqa: F401
     COEFFICIENT_TOL,
     classify,
     full_entanglement_threshold,
     is_ppt,
     noise_threshold,
+    partition_thresholds,
 )
 from .oracle import (
     DEFAULT_ORACLE,
@@ -157,10 +162,9 @@ def cmd_random(args) -> int:
 
 def cmd_threshold(args) -> int:
     state = _load_state_arg(args)
-    per_partition = [
-        (p, noise_threshold(state, p)) for p in enumerate_bipartitions(state.n)
-    ]
-    overall = full_entanglement_threshold(state)
+    thresholds = partition_thresholds(state)
+    per_partition = list(zip(enumerate_bipartitions(state.n), thresholds.tolist()))
+    overall = float(thresholds.min())
     pure = GhzDiagonalState.pure_ghz(state.n)
     ghz_closed_form = None
     if state == pure:
@@ -287,6 +291,9 @@ def main(argv=None) -> int:
         args.count = _DEFAULT_COUNTS.get(args.command, 1)
     if args.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         return args.fn(args)

@@ -31,6 +31,9 @@ def _clean_weights(values, n: int, name: str) -> np.ndarray:
     expected = 1 << (n - 1)
     if arr.shape != (expected,):
         raise ValueError(f"{name} must have {expected} entries for n={n}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        k = int(np.argmin(np.isfinite(arr)))
+        raise ValueError(f"non-finite weight {arr[k]} in {name} at class index {k}")
     tiny = (arr < 0.0) & (arr >= -WEIGHT_CLAMP)
     arr[tiny] = 0.0
     if (arr < 0.0).any():
@@ -260,10 +263,9 @@ def state_from_json_dict(data: dict) -> GhzDiagonalState:
     """
     if not isinstance(data, dict):
         raise ValueError("state JSON must be an object")
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("field 'n' must be an integer qubit count") from None
+    n = data.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"field 'n' must be an integer qubit count, got {n!r}")
     if not 2 <= n <= MAX_QUBITS:
         raise ValueError(f"field 'n' must be in 2..{MAX_QUBITS}, got {n}")
     convention = data.get("convention", "canonical")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzent.analytic import (
     COEFFICIENT_NAMES,
@@ -10,6 +12,8 @@ from ghzent.analytic import (
     full_entanglement_threshold,
     is_ppt,
     noise_threshold,
+    partition_minima,
+    partition_thresholds,
 )
 from ghzent.basis import phi_vector
 from ghzent.oracle import eigenvalues_symmetric, is_ppt_dense, partial_transpose
@@ -283,3 +287,102 @@ def test_mixed_qubit_counts_rejected():
 
 def test_coefficient_names_order():
     assert COEFFICIENT_NAMES == ("B", "C", "D", "E")
+
+
+# -- the all-partition scan against the four-array table -----------------------
+
+
+def reference_minima(state):
+    """Per-cut ``argmin`` over the stacked (B, C, D, E) table, one cut at a time.
+
+    Returns the minimum, its class, its coefficient code and the full table
+    of each cut, ties resolved by flat index: smallest class, then B, C, D, E.
+    """
+    values, classes, codes, tables = [], [], [], []
+    for p in enumerate_bipartitions(state.n):
+        table = np.stack(coefficient_arrays(state, p), axis=1)
+        k, which = divmod(int(np.argmin(table)), 4)
+        values.append(table[k, which])
+        classes.append(k)
+        codes.append(which)
+        tables.append(table)
+    return np.array(values), np.array(classes), np.array(codes), tables
+
+
+def assert_minima_match_reference(state):
+    values, classes, codes = partition_minima(state)
+    ref_values, ref_classes, ref_codes, tables = reference_minima(state)
+    assert np.array_equal(values, ref_values)  # bit-equal, not approximately
+    for i, table in enumerate(tables):
+        k, c = int(classes[i]), int(codes[i])
+        assert table[k, c] == values[i]  # the witness points at its value
+        # nothing earlier in class-then-B/C/D/E order attains the minimum
+        assert not (table.ravel()[: 4 * k + c] == values[i]).any()
+    assert np.array_equal(classes, ref_classes)
+    assert np.array_equal(codes, ref_codes)
+
+
+def ghz_at(n, p):
+    return mix_with_white_noise(GhzDiagonalState.pure_ghz(n), p)
+
+
+def scan_corpus():
+    for n in range(2, 11):
+        p_star = (1 << n) / ((1 << n) + 2)
+        for seed in range(5):
+            yield pytest.param(random_state(n, seed), id=f"random-n{n}-seed{seed}")
+        for p in (0.0, 0.3, p_star - 1e-9, p_star, p_star + 1e-9, 0.999, 1.0):
+            yield pytest.param(ghz_at(n, p), id=f"ghz-n{n}-p{p}")
+        yield pytest.param(GhzDiagonalState.maximally_mixed(n), id=f"mixed-n{n}")
+        for seed in range(3):
+            p = 0.99 + 0.003 * seed
+            state = mix_with_white_noise(random_state(n, 50 + seed), p)
+            yield pytest.param(state, id=f"near-mixed-n{n}-p{p}")
+
+
+@pytest.mark.parametrize("state", scan_corpus())
+def test_partition_minima_matches_reference(state):
+    assert_minima_match_reference(state)
+
+
+@st.composite
+def sparse_states(draw):
+    """At most three nonzero weights, often equal, so ties are common."""
+    n = draw(st.integers(2, 8))
+    slots = 1 << n
+    positions = draw(st.lists(st.integers(0, slots - 1), min_size=1, max_size=3, unique=True))
+    values = draw(
+        st.lists(
+            st.one_of(st.sampled_from([1.0, 0.5, 0.25, 0.1, 1 / 3]), st.floats(1e-9, 1.0)),
+            min_size=len(positions),
+            max_size=len(positions),
+        )
+    )
+    weights = np.zeros(slots)
+    weights[positions] = values
+    weights /= weights.sum()
+    half = slots // 2
+    return GhzDiagonalState(n, weights[:half], weights[half:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_states())
+def test_partition_minima_matches_reference_on_sparse_weights(state):
+    assert_minima_match_reference(state)
+
+
+def test_partition_minima_tie_break_on_flat_weights():
+    # every coefficient equals 2/2^n: class 0 and coefficient B win everywhere
+    for n in range(2, 9):
+        values, classes, codes = partition_minima(GhzDiagonalState.maximally_mixed(n))
+        assert (values == 2.0 / (1 << n)).all()
+        assert (classes == 0).all()
+        assert (codes == COEFFICIENT_NAMES.index("B")).all()
+
+
+@pytest.mark.parametrize("state", scan_corpus())
+def test_thresholds_match_per_cut_noise_threshold(state):
+    per_cut = np.array([noise_threshold(state, p) for p in enumerate_bipartitions(state.n)])
+    thresholds = partition_thresholds(state)
+    assert np.max(np.abs(thresholds - per_cut)) <= 2.3e-16
+    assert abs(full_entanglement_threshold(state) - per_cut.min()) <= 2.3e-16

@@ -145,6 +145,35 @@ def test_bench_emits_csv(capsys):
         assert float(r[3]) > 0.0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n":2,"weights":[{"beta":"00","plus":NaN,"minus":0.0}]}',
+        '{"n":2,"weights":[{"beta":"00","plus":1.0,"minus":0.0},'
+        '{"beta":"01","plus":Infinity,"minus":0.0}]}',
+        '{"n":3.7,"weights":[{"beta":"000","plus":1.0,"minus":0.0}]}',
+        '{"n":"12","weights":[{"beta":"000000000000","plus":1.0,"minus":0.0}]}',
+        '{"n":true,"weights":[{"beta":"00","plus":1.0,"minus":0.0}]}',
+    ],
+)
+@pytest.mark.parametrize("command", ["classify", "threshold"])
+def test_non_finite_weights_and_non_integer_n_exit_two(capsys, command, text):
+    rc, out, err = run(capsys, command, "--input", text)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-12"])
+def test_tol_must_be_finite_and_nonnegative(capsys, tol):
+    rc, out, err = run(capsys, "classify", "--input", PURE_GHZ_3, f"--tol={tol}")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "--tol" in err
+    rc, _, _ = run(capsys, "classify", "--input", PURE_GHZ_3, "--tol", "0")
+    assert rc == 0
+
+
 def test_count_must_be_positive(capsys):
     rc, _, err = run(capsys, "random", "--n", "3", "--count", "0")
     assert rc == 2

@@ -211,6 +211,31 @@ def test_json_rejects_bad_documents():
         load_state("{not json")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_constructor_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        GhzDiagonalState(2, [1.0, bad], [0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        GhzDiagonalState(2, [1.0, 0.0], [bad, 0.0])
+
+
+def test_json_rejects_non_finite_weights():
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        text = (
+            '{"n": 2, "weights": [{"beta": "00", "plus": 1.0, "minus": 0.0}, '
+            f'{{"beta": "01", "plus": {literal}, "minus": 0.0}}]}}'
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            load_state(text)
+
+
+@pytest.mark.parametrize("bad", [3.7, 12.0, "12", True, None, [3]])
+def test_json_rejects_non_integer_n(bad):
+    doc = {"n": bad, "weights": [{"beta": "000", "plus": 1.0, "minus": 0.0}]}
+    with pytest.raises(ValueError, match="field 'n'"):
+        state_from_json_dict(doc)
+
+
 def test_json_rejects_duplicate_class():
     doc = {
         "n": 2,
