@@ -41,14 +41,11 @@ from .state import (
     twirl_to_ghz_diagonal,
 )
 from .analytic import (
-    BlockCoefficients,
     ClassificationReport,
     CoefficientWitness,
     PartitionVerdict,
-    block_coefficients,
     classify,
     coefficient_arrays,
-    eta_pair,
     full_entanglement_threshold,
     is_ppt,
     noise_threshold,
@@ -88,12 +85,9 @@ __all__ = [
     "state_from_json_dict",
     "dump_state",
     "load_state",
-    "BlockCoefficients",
     "CoefficientWitness",
     "PartitionVerdict",
     "ClassificationReport",
-    "eta_pair",
-    "block_coefficients",
     "coefficient_arrays",
     "is_ppt",
     "classify",

@@ -16,11 +16,17 @@ verdict, and the dense oracle arbitrates actual spectra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .state import GhzDiagonalState
-from .subsets import Bipartition, SubsetMask, canonical_beta, enumerate_bipartitions
+from .subsets import (
+    Bipartition,
+    SubsetMask,
+    bipartition_bit_strings,
+    enumerate_bipartitions,
+)
 
 COEFFICIENT_TOL = 1e-12
 
@@ -30,32 +36,6 @@ COEFFICIENT_NAMES = ("B", "C", "D", "E")
 # (classes times cuts) that keeps its temporaries small at large n.
 _BLOCK_CLASSES = 16
 _BLOCK_ENTRIES = 1 << 15
-
-
-@dataclass(frozen=True)
-class BlockCoefficients:
-    """One block's weights and its four partial-transpose sign coefficients.
-
-    ``b, c, d, e`` are twice the eigenvalues of the block's partial
-    transpose; the block is positive under partial transposition iff all
-    four are nonnegative.
-    """
-
-    lambda_plus: float
-    lambda_minus: float
-    eta_plus: float
-    eta_minus: float
-    b: float
-    c: float
-    d: float
-    e: float
-
-    @property
-    def block_mass(self) -> float:
-        return self.lambda_plus + self.lambda_minus + self.eta_plus + self.eta_minus
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.b, self.c, self.d, self.e)
 
 
 @dataclass(frozen=True)
@@ -74,37 +54,61 @@ class PartitionVerdict:
     worst: CoefficientWitness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassificationReport:
     """Per-partition PPT verdicts plus the full-entanglement conclusion.
 
-    A PPT partition certifies the state biseparable across that split;
-    ``full_entangled`` holds exactly when no partition is PPT.
+    The verdicts are columns in ``enumerate_bipartitions`` order, as
+    ``partition_minima`` returns them: each cut's minimum coefficient, its
+    class, its index into ``COEFFICIENT_NAMES``, and whether the cut is
+    PPT.  A PPT partition certifies the state biseparable across that
+    split; ``full_entangled`` holds exactly when no partition is PPT.
     """
 
     n: int
-    partitions: tuple[PartitionVerdict, ...]
+    values: np.ndarray
+    classes: np.ndarray
+    codes: np.ndarray
+    ppt: np.ndarray
     full_entangled: bool
+
+    @cached_property
+    def partitions(self) -> tuple[PartitionVerdict, ...]:
+        """One verdict object per cut, built on first access."""
+        n = self.n
+        return tuple(
+            PartitionVerdict(
+                partition, ppt, CoefficientWitness(SubsetMask(k, n), COEFFICIENT_NAMES[c], value)
+            )
+            for partition, ppt, k, c, value in zip(enumerate_bipartitions(n), *self.columns())
+        )
 
     @property
     def ppt_partitions(self) -> tuple[Bipartition, ...]:
-        return tuple(v.partition for v in self.partitions if v.is_ppt)
+        n = self.n
+        top = 1 << (n - 1)
+        return tuple(Bipartition(SubsetMask(top | i, n)) for i in np.flatnonzero(self.ppt).tolist())
+
+    def columns(self) -> tuple[list, list, list, list]:
+        """``ppt``, ``classes``, ``codes`` and ``values`` as lists of Python scalars."""
+        return self.ppt.tolist(), self.classes.tolist(), self.codes.tolist(), self.values.tolist()
 
     def to_json_dict(self) -> dict:
+        n = self.n
         return {
-            "n": self.n,
+            "n": n,
             "full_entangled": self.full_entangled,
             "partitions": [
                 {
-                    "alpha1": v.partition.alpha1.bit_string(),
-                    "ppt": v.is_ppt,
+                    "alpha1": alpha1,
+                    "ppt": ppt,
                     "worst": {
-                        "beta": v.worst.beta.bit_string(),
-                        "coeff": v.worst.coefficient,
-                        "value": v.worst.value,
+                        "beta": format(k, f"0{n}b"),
+                        "coeff": COEFFICIENT_NAMES[c],
+                        "value": value,
                     },
                 }
-                for v in self.partitions
+                for alpha1, ppt, k, c, value in zip(bipartition_bit_strings(n), *self.columns())
             ],
         }
 
@@ -112,42 +116,6 @@ class ClassificationReport:
 def _check_compatible(state: GhzDiagonalState, partition: Bipartition) -> None:
     if partition.n != state.n:
         raise ValueError(f"mixed qubit counts {partition.n} and {state.n}")
-
-
-def eta_pair(
-    state: GhzDiagonalState, beta: SubsetMask, partition: Bipartition
-) -> tuple[float, float]:
-    """Weights of the partner class reached by XOR with the second group.
-
-    The partner vectors of a class relative to a partition coincide with
-    the GHZ vectors of ``beta XOR alpha2``, so their quadratic forms are a
-    plain weight lookup; no inner products are evaluated here.
-    """
-    _check_compatible(state, partition)
-    if beta.n != state.n:
-        raise ValueError(f"mixed qubit counts {beta.n} and {state.n}")
-    k = canonical_beta(beta).bits ^ partition.alpha2.bits
-    return float(state.lambda_plus[k]), float(state.lambda_minus[k])
-
-
-def block_coefficients(
-    state: GhzDiagonalState, beta: SubsetMask, partition: Bipartition
-) -> BlockCoefficients:
-    """The four signed combinations deciding one block's PPT status."""
-    _check_compatible(state, partition)
-    lp = state.weight(beta, +1)
-    lm = state.weight(beta, -1)
-    ep, em = eta_pair(state, beta, partition)
-    return BlockCoefficients(
-        lambda_plus=lp,
-        lambda_minus=lm,
-        eta_plus=ep,
-        eta_minus=em,
-        b=lp - lm + ep + em,
-        c=lp + lm - ep + em,
-        d=lp + lm + ep - em,
-        e=-lp + lm + ep + em,
-    )
 
 
 def coefficient_arrays(
@@ -274,22 +242,8 @@ def partition_thresholds(state: GhzDiagonalState) -> np.ndarray:
 def classify(state: GhzDiagonalState, tol: float = COEFFICIENT_TOL) -> ClassificationReport:
     """Scan every bipartition; fully entangled iff none is PPT."""
     values, classes, codes = partition_minima(state)
-    n = state.n
-    verdicts = tuple(
-        PartitionVerdict(
-            partition,
-            value >= -tol,
-            CoefficientWitness(SubsetMask(k, n), COEFFICIENT_NAMES[c], value),
-        )
-        for partition, value, k, c in zip(
-            enumerate_bipartitions(n), values.tolist(), classes.tolist(), codes.tolist()
-        )
-    )
-    return ClassificationReport(
-        n=n,
-        partitions=verdicts,
-        full_entangled=not any(v.is_ppt for v in verdicts),
-    )
+    ppt = values >= -tol
+    return ClassificationReport(state.n, values, classes, codes, ppt, not ppt.any())
 
 
 def noise_threshold(state: GhzDiagonalState, partition: Bipartition) -> float:
@@ -319,16 +273,13 @@ def full_entanglement_threshold(state: GhzDiagonalState) -> float:
 
 
 __all__ = [
-    "BlockCoefficients",
     "ClassificationReport",
     "CoefficientWitness",
     "COEFFICIENT_NAMES",
     "COEFFICIENT_TOL",
     "PartitionVerdict",
-    "block_coefficients",
     "classify",
     "coefficient_arrays",
-    "eta_pair",
     "full_entanglement_threshold",
     "is_ppt",
     "noise_threshold",

@@ -22,6 +22,7 @@ import numpy as np
 # stay importable from this module because tools that trace the CLI wrap
 # its analytic calls by these names.
 from .analytic import (  # noqa: F401
+    COEFFICIENT_NAMES,
     COEFFICIENT_TOL,
     classify,
     full_entanglement_threshold,
@@ -45,7 +46,11 @@ from .state import (
     state_to_json_dict,
     to_dense,
 )
-from .subsets import enumerate_bipartitions, enumerate_canonical_betas
+from .subsets import (
+    bipartition_bit_strings,
+    enumerate_bipartitions,
+    enumerate_canonical_betas,
+)
 
 EXIT_FULL_ENTANGLED = 0
 EXIT_NOT_FULL_ENTANGLED = 1
@@ -76,15 +81,37 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+# json.dumps(..., indent=2) of the dict forms (for classify, the report's
+# to_json_dict()), written row by row from the columns. Floats go through
+# repr, as in json.dumps; every value here is finite.
+_CLASSIFY_ROW = (
+    '    {\n      "alpha1": "%s",\n      "ppt": %s,\n      "worst": {\n'
+    '        "beta": "%s",\n        "coeff": "%s",\n        "value": %r\n      }\n    }'
+)
+_THRESHOLD_ROW = '    {\n      "alpha1": "%s",\n      "threshold": %r\n    }'
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _json_document(fields: str, rows) -> str:
+    return f'{{\n{fields},\n  "partitions": [\n' + ",\n".join(rows) + "\n  ]\n}"
+
+
 def cmd_classify(args) -> int:
     state = _load_state_arg(args)
     report = classify(state, tol=args.tol)
+    n = report.n
     if args.format == "json":
-        _print_json(report.to_json_dict())
+        fields = f'  "n": {n},\n  "full_entangled": {_JSON_BOOL[report.full_entangled]}'
+        rows = (
+            _CLASSIFY_ROW
+            % (alpha1, _JSON_BOOL[ppt], format(k, f"0{n}b"), COEFFICIENT_NAMES[c], value)
+            for alpha1, ppt, k, c, value in zip(bipartition_bit_strings(n), *report.columns())
+        )
+        print(_json_document(fields, rows))
     else:
-        ppt_count = len(report.ppt_partitions)
+        ppt_count = int(report.ppt.sum())
         total = len(report.partitions)
-        print(f"n = {report.n}, partitions = {total}")
+        print(f"n = {n}, partitions = {total}")
         for v in report.partitions:
             w = v.worst
             status = "PPT (biseparable)" if v.is_ppt else "NPT"
@@ -111,9 +138,10 @@ def cmd_oracle_check(args) -> int:
     spectrum_deviation = 0.0
     for i in range(args.count):
         state = random_state(n, args.seed + i)
+        dense = to_dense(state)
         for partition in partitions:
             analytic_verdict, _ = is_ppt(state, partition, tol=args.tol)
-            pt = partial_transpose(to_dense(state), partition.alpha1)
+            pt = partial_transpose(dense, partition.alpha1)
             low = eigenvalues_symmetric(pt).min_eigenvalue
             dense_verdict = low >= -DEFAULT_ORACLE.psd_tol
             if analytic_verdict != dense_verdict:
@@ -163,7 +191,6 @@ def cmd_random(args) -> int:
 def cmd_threshold(args) -> int:
     state = _load_state_arg(args)
     thresholds = partition_thresholds(state)
-    per_partition = list(zip(enumerate_bipartitions(state.n), thresholds.tolist()))
     overall = float(thresholds.min())
     pure = GhzDiagonalState.pure_ghz(state.n)
     ghz_closed_form = None
@@ -171,20 +198,15 @@ def cmd_threshold(args) -> int:
         dim = 1 << state.n
         ghz_closed_form = dim / (dim + 2)
     if args.format == "json":
-        _print_json(
-            {
-                "n": state.n,
-                "full_entanglement_threshold": overall,
-                "ghz_closed_form": ghz_closed_form,
-                "partitions": [
-                    {"alpha1": p.alpha1.bit_string(), "threshold": t}
-                    for p, t in per_partition
-                ],
-            }
+        fields = (
+            f'  "n": {state.n},\n  "full_entanglement_threshold": {overall!r},\n'
+            f'  "ghz_closed_form": {"null" if ghz_closed_form is None else repr(ghz_closed_form)}'
         )
+        rows = zip(bipartition_bit_strings(state.n), thresholds.tolist())
+        print(_json_document(fields, (_THRESHOLD_ROW % row for row in rows)))
     else:
         print(f"n = {state.n}")
-        for p, t in per_partition:
+        for p, t in zip(enumerate_bipartitions(state.n), thresholds.tolist()):
             print(f"  {p.split_string():>15}  threshold = {t:.12g}")
         print(f"full-entanglement threshold = {overall:.12g}")
         if ghz_closed_form is not None:

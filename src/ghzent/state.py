@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ghz_vector
+from .basis import _INV_SQRT2, ghz_vector
 from .subsets import (
     MAX_QUBITS,
     SubsetMask,
     canonical_beta,
-    enumerate_canonical_betas,
 )
 
 NORMALIZATION_TOL = 1e-10
@@ -206,13 +205,13 @@ def twirl_to_ghz_diagonal(rho: DenseOperator, strict: bool = False) -> tuple[Ghz
         low = eigenvalues_symmetric(rho).min_eigenvalue
         if low < -DEFAULT_ORACLE.psd_tol:
             raise ValueError(f"input operator is not positive: min eigenvalue {low}")
-    classes = 1 << (n - 1)
-    lp = np.empty(classes)
-    lm = np.empty(classes)
-    for k in range(classes):
-        beta = SubsetMask(k, n)
-        lp[k] = extract_lambda(rho, beta, +1)
-        lm[k] = extract_lambda(rho, beta, -1)
+    # extract_lambda's quadratic form for every class at once: class k's
+    # vectors sit on index k and its complement, amplitudes a and +-a.
+    k = np.arange(1 << (n - 1))
+    kc = k ^ ((1 << n) - 1)
+    m = rho.matrix
+    a = _INV_SQRT2
+    lp, lm = (a * a * m[k, k] + b * b * m[kc, kc] + 2.0 * a * b * m[k, kc] for b in (a, -a))
     discarded = float(np.linalg.norm(rho.matrix - _dense_from_weights(n, lp, lm)))
     total = float(lp.sum() + lm.sum())
     if total <= 0.0:
@@ -253,6 +252,15 @@ def state_to_json_dict(state: GhzDiagonalState) -> dict:
     return {"n": state.n, "convention": "canonical", "weights": weights}
 
 
+def _beta_error(beta, pos: int, n: int) -> ValueError:
+    """The error for a ``beta`` that is not an n-digit bit string."""
+    try:
+        digits = SubsetMask.from_bit_string(beta).n
+    except (TypeError, ValueError):
+        return ValueError(f"field 'weights[{pos}].beta' must be an n-digit bit string")
+    return ValueError(f"field 'weights[{pos}].beta' has {digits} digits, expected {n}")
+
+
 def state_from_json_dict(data: dict) -> GhzDiagonalState:
     """Read a state from its JSON form.
 
@@ -275,34 +283,29 @@ def state_from_json_dict(data: dict) -> GhzDiagonalState:
     if not isinstance(entries, list):
         raise ValueError("field 'weights' must be a list")
 
-    classes = 1 << (n - 1)
-    lp = np.zeros(classes)
-    lm = np.zeros(classes)
+    top = 1 << (n - 1)
+    lp = np.zeros(top)
+    lm = np.zeros(top)
     seen: dict[int, tuple[float, float]] = {}
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"field 'weights[{pos}]' must be an object")
-        try:
-            bit_string = entry["beta"]
-            mask = SubsetMask.from_bit_string(bit_string)
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"field 'weights[{pos}].beta' must be an n-digit bit string") from None
-        if mask.n != n:
-            raise ValueError(f"field 'weights[{pos}].beta' has {mask.n} digits, expected {n}")
+        beta = entry.get("beta")
+        if not (isinstance(beta, str) and len(beta) == n and not beta.strip("01")):
+            raise _beta_error(beta, pos, n)
+        k = int(beta, 2)
         try:
             plus = float(entry.get("plus", 0.0))
             minus = float(entry.get("minus", 0.0))
         except (TypeError, ValueError):
             raise ValueError(f"field 'weights[{pos}]' plus/minus must be numbers") from None
-        if convention == "canonical":
-            if mask.contains(1):
+        if k & top:
+            if convention == "canonical":
                 raise ValueError(
-                    f"field 'weights[{pos}].beta' = {bit_string!r} is not canonical "
+                    f"field 'weights[{pos}].beta' = {beta!r} is not canonical "
                     "(canonical classes exclude qubit 1)"
                 )
-            k = mask.bits
-        else:
-            k = canonical_beta(mask).bits
+            k ^= (top << 1) - 1
         if k in seen:
             prev = seen[k]
             if abs(prev[0] - plus) > WEIGHT_CLAMP or abs(prev[1] - minus) > WEIGHT_CLAMP:

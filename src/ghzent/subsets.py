@@ -156,3 +156,9 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
         raise ValueError(f"a bipartition needs at least 2 qubits, got n={n}")
     top = 1 << (n - 1)
     return [Bipartition(SubsetMask(top | k, n)) for k in range(top - 1)]
+
+
+def bipartition_bit_strings(n: int) -> list[str]:
+    """The ``alpha1`` bit strings of ``enumerate_bipartitions(n)``, in its order."""
+    top = 1 << (n - 1)
+    return [format(top | k, f"0{n}b") for k in range(top - 1)]

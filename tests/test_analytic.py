@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,8 @@ from hypothesis import strategies as st
 
 from ghzent.analytic import (
     COEFFICIENT_NAMES,
-    block_coefficients,
     classify,
     coefficient_arrays,
-    eta_pair,
     full_entanglement_threshold,
     is_ppt,
     noise_threshold,
@@ -26,9 +26,64 @@ from ghzent.state import (
 from ghzent.subsets import (
     Bipartition,
     SubsetMask,
+    canonical_beta,
     enumerate_bipartitions,
     enumerate_canonical_betas,
 )
+
+
+# -- one block at a time: the per-class reference for the vectorized paths -----
+
+
+@dataclass(frozen=True)
+class BlockCoefficients:
+    """One block's weights and its four partial-transpose sign coefficients.
+
+    ``b, c, d, e`` are twice the eigenvalues of the block's partial
+    transpose; the block is positive under partial transposition iff all
+    four are nonnegative.
+    """
+
+    lambda_plus: float
+    lambda_minus: float
+    eta_plus: float
+    eta_minus: float
+    b: float
+    c: float
+    d: float
+    e: float
+
+    @property
+    def block_mass(self) -> float:
+        return self.lambda_plus + self.lambda_minus + self.eta_plus + self.eta_minus
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.b, self.c, self.d, self.e)
+
+
+def eta_pair(state, beta, partition):
+    """Weights of the partner class ``beta XOR alpha2``: a plain weight lookup."""
+    if partition.n != state.n or beta.n != state.n:
+        raise ValueError(f"mixed qubit counts {partition.n}, {beta.n} and {state.n}")
+    k = canonical_beta(beta).bits ^ partition.alpha2.bits
+    return float(state.lambda_plus[k]), float(state.lambda_minus[k])
+
+
+def block_coefficients(state, beta, partition):
+    """The four signed combinations deciding one block's PPT status."""
+    lp = state.weight(beta, +1)
+    lm = state.weight(beta, -1)
+    ep, em = eta_pair(state, beta, partition)
+    return BlockCoefficients(
+        lambda_plus=lp,
+        lambda_minus=lm,
+        eta_plus=ep,
+        eta_minus=em,
+        b=lp - lm + ep + em,
+        c=lp + lm - ep + em,
+        d=lp + lm + ep - em,
+        e=-lp + lm + ep + em,
+    )
 
 
 def bell_diagonal(lp0, lm0, lp1, lm1):

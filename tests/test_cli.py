@@ -3,8 +3,16 @@ import json
 
 import pytest
 
+from ghzent.analytic import classify, partition_thresholds
 from ghzent.cli import BENCH_CSV_HEADER, main
-from ghzent.state import load_state
+from ghzent.state import (
+    GhzDiagonalState,
+    load_state,
+    mix_with_white_noise,
+    random_state,
+    state_to_json_dict,
+)
+from ghzent.subsets import enumerate_bipartitions
 
 PURE_GHZ_3 = '{"n":3,"convention":"canonical","weights":[{"beta":"000","plus":1.0,"minus":0.0}]}'
 MIXED_2 = (
@@ -184,3 +192,58 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _full_convention(state):
+    """The state's JSON with every odd class listed under its complement's label."""
+    doc = state_to_json_dict(state)
+    flip = (1 << state.n) - 1
+    for entry in doc["weights"][1::2]:
+        entry["beta"] = format(int(entry["beta"], 2) ^ flip, f"0{state.n}b")
+    return {**doc, "convention": "full"}
+
+
+def _byte_identity_corpus():
+    cases = []
+    for n in range(2, 11):
+        for seed in (0, 1):
+            cases.append((f"random-n{n}-s{seed}", state_to_json_dict(random_state(n, seed))))
+    for n in (3, 6):
+        dim = 1 << n
+        p_star = dim / (dim + 2)
+        for p in (0.0, p_star - 1e-9, p_star, p_star + 1e-9, 1.0):
+            state = mix_with_white_noise(GhzDiagonalState.pure_ghz(n), p)
+            cases.append((f"ghz-n{n}-p{p!r}", state_to_json_dict(state)))
+    cases.append(("mixed-n4", state_to_json_dict(GhzDiagonalState.maximally_mixed(4))))
+    cases.append(("full-n5", _full_convention(random_state(5, 7))))
+    return cases
+
+
+def _threshold_dict(state):
+    thresholds = partition_thresholds(state)
+    dim = 1 << state.n
+    pure = state == GhzDiagonalState.pure_ghz(state.n)
+    return {
+        "n": state.n,
+        "full_entanglement_threshold": float(thresholds.min()),
+        "ghz_closed_form": dim / (dim + 2) if pure else None,
+        "partitions": [
+            {"alpha1": p.alpha1.bit_string(), "threshold": t}
+            for p, t in zip(enumerate_bipartitions(state.n), thresholds.tolist())
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "doc", [pytest.param(doc, id=label) for label, doc in _byte_identity_corpus()]
+)
+def test_json_output_equals_json_dumps_of_dict_form(capsys, doc):
+    text = json.dumps(doc)
+    state = load_state(text)
+    report = classify(state)
+    rc, out, err = run(capsys, "classify", "--input", text, "--format", "json")
+    assert (rc, err) == (0 if report.full_entangled else 1, "")
+    assert out == json.dumps(report.to_json_dict(), indent=2) + "\n"
+    rc, out, err = run(capsys, "threshold", "--input", text, "--format", "json")
+    assert (rc, err) == (0, "")
+    assert out == json.dumps(_threshold_dict(state), indent=2) + "\n"

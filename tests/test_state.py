@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ghzent.basis import ghz_vector
+from ghzent.cli import main
 from ghzent.state import (
     DenseOperator,
     GhzDiagonalState,
+    _dense_from_weights,
     dump_state,
     extract_lambda,
     load_state,
@@ -271,3 +273,71 @@ def test_dense_operator_validation():
 def test_to_dense_respects_cap():
     with pytest.raises(ValueError):
         to_dense(random_state(11, 0))
+
+
+NOT_A_BIT_STRING = "error: field 'weights[0].beta' must be an n-digit bit string\n"
+
+
+@pytest.mark.parametrize(
+    "weights, convention, message",
+    [
+        # int(s, 2) accepts these four; a bit string must not
+        ([{"beta": " 01", "plus": 1.0}], "canonical", NOT_A_BIT_STRING),
+        ([{"beta": "0_1", "plus": 1.0}], "canonical", NOT_A_BIT_STRING),
+        ([{"beta": "+01", "plus": 1.0}], "canonical", NOT_A_BIT_STRING),
+        ([{"beta": "0b1", "plus": 1.0}], "full", NOT_A_BIT_STRING),
+        (
+            [{"beta": "000", "plus": 0.5}, {"beta": "0001", "plus": 0.5}],
+            "canonical",
+            "error: field 'weights[1].beta' has 4 digits, expected 3\n",
+        ),
+        ([{"beta": 11, "plus": 1.0}], "canonical", NOT_A_BIT_STRING),
+        ([{"plus": 1.0}], "canonical", NOT_A_BIT_STRING),
+        (
+            [{"beta": "100", "plus": 1.0}],
+            "canonical",
+            "error: field 'weights[0].beta' = '100' is not canonical "
+            "(canonical classes exclude qubit 1)\n",
+        ),
+        (
+            [{"beta": "000", "plus": 0.5}, {"beta": "000", "plus": 0.4}],
+            "canonical",
+            "error: field 'weights[1].beta' repeats class 000 with conflicting values\n",
+        ),
+        (
+            [{"beta": "000", "plus": 0.5}, {"beta": "111", "plus": 0.4}],
+            "full",
+            "error: field 'weights[1].beta' repeats class 000 with conflicting values\n",
+        ),
+    ],
+)
+def test_bad_beta_entries_exit_two_with_exact_message(capsys, weights, convention, message):
+    text = json.dumps({"n": 3, "convention": convention, "weights": weights})
+    for command in ("classify", "threshold"):
+        assert main([command, "--input", text, "--format", "json"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", message)
+
+
+def _twirl_by_loop(rho):
+    """Reference for ``twirl_to_ghz_diagonal``: one quadratic form per class and sign."""
+    n = rho.n
+    lp = np.array([extract_lambda(rho, beta, +1) for beta in enumerate_canonical_betas(n)])
+    lm = np.array([extract_lambda(rho, beta, -1) for beta in enumerate_canonical_betas(n)])
+    discarded = float(np.linalg.norm(rho.matrix - _dense_from_weights(n, lp, lm)))
+    total = float(lp.sum() + lm.sum())
+    return GhzDiagonalState(n, lp / total, lm / total), discarded
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_twirl_equals_per_class_loop_exactly(n):
+    rng = np.random.default_rng(n)
+    ghz = to_dense(random_state(n, n))
+    a = rng.normal(size=(1 << n, 1 << n))
+    generic = DenseOperator.from_matrix(a @ a.T / np.trace(a @ a.T), symmetrize=True)
+    for rho in (ghz, generic):
+        got, got_discarded = twirl_to_ghz_diagonal(rho)
+        want, want_discarded = _twirl_by_loop(rho)
+        assert np.array_equal(got.lambda_plus, want.lambda_plus)
+        assert np.array_equal(got.lambda_minus, want.lambda_minus)
+        assert got_discarded == want_discarded
