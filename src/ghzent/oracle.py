@@ -1,8 +1,9 @@
 """Brute-force ground truth for the analytic classifier.
 
-Partial transposition is an explicit bit-indexed element swap on the full
-matrix, and positivity is read off a dense real-symmetric eigensolver.
-Nothing here exploits GHZ structure; that is the point of an oracle.
+Partial transposition swaps tensor axes of the full matrix, and positivity
+is decided by a dense Cholesky factorization, or read off a dense
+real-symmetric eigensolver where a caller needs the spectrum.  Nothing
+here exploits GHZ structure; that is the point of an oracle.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import coefficient_arrays
+from .analytic import COEFFICIENT_TOL, coefficient_arrays
 from .state import DenseOperator, GhzDiagonalState, to_dense
 from .subsets import Bipartition, SubsetMask
 
@@ -20,14 +21,20 @@ from .subsets import Bipartition, SubsetMask
 class OracleTolerances:
     """All oracle-side tolerances and caps in one place.
 
-    Eigensolver error dominates on this path, so the positivity floor is
-    much looser than the analytic side's.
+    ``psd_tol`` is the analytic ``COEFFICIENT_TOL`` in eigenvalue units:
+    partial-transpose eigenvalues are half the block coefficients, so both
+    routes draw the PPT line at the same states.  It must be positive: the
+    Cholesky test fails on a singular matrix, so at 0 it would call a
+    partial transpose with a zero eigenvalue NPT.
     """
 
-    psd_tol: float = 1e-9
-    spectrum_tol: float = 1e-9
+    psd_tol: float = COEFFICIENT_TOL / 2
     dimension_cap: int = 1024
     comparison_max_qubits: int = 8
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.psd_tol < float("inf"):
+            raise ValueError(f"psd_tol must be a finite number > 0, got {self.psd_tol}")
 
 
 DEFAULT_ORACLE = OracleTolerances()
@@ -45,19 +52,36 @@ class SpectrumResult:
 def partial_transpose(rho: DenseOperator, alpha: SubsetMask) -> DenseOperator:
     """Transpose the tensor factors of the qubits in ``alpha``.
 
-    Element-wise: the alpha bits of the row and column indices are
-    exchanged.  The empty set is the identity; the full set is total
-    transposition.
+    The matrix is viewed as a tensor with one row and one column axis per
+    qubit, and the two axes of every qubit in ``alpha`` are swapped, which
+    exchanges the alpha bits of the row and column indices.  The empty set
+    is the identity; the full set is total transposition.  The result is
+    always a fresh array.
     """
     if alpha.n != rho.n:
         raise ValueError(f"mixed qubit counts {alpha.n} and {rho.n}")
-    dim = rho.dim
-    m = alpha.bits
-    keep = (dim - 1) ^ m
-    idx = np.arange(dim)
-    r = idx[:, None]
-    c = idx[None, :]
-    return DenseOperator(rho.matrix[(r & keep) | (c & m), (c & keep) | (r & m)], rho.n)
+    n = rho.n
+    axes = list(range(2 * n))
+    for q in range(n):
+        if alpha.bits >> q & 1:
+            # Bit q of an index is tensor axis n - 1 - q of its row or column.
+            row = n - 1 - q
+            axes[row], axes[row + n] = row + n, row
+    # copy() lays the swapped tensor out in C order, so the reshape is a
+    # view of a fresh array, also for the empty mask.
+    swapped = rho.matrix.reshape((2,) * (2 * n)).transpose(axes).copy()
+    return DenseOperator(swapped.reshape(rho.dim, rho.dim), n)
+
+
+def _checked_symmetric(m: DenseOperator | np.ndarray, tolerances: OracleTolerances) -> np.ndarray:
+    mat = m.matrix if isinstance(m, DenseOperator) else np.asarray(m, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if mat.shape[0] > tolerances.dimension_cap:
+        raise ValueError(f"dimension {mat.shape[0]} exceeds cap {tolerances.dimension_cap}")
+    if not np.array_equal(mat, mat.T):
+        raise ValueError("matrix is not symmetric")
+    return mat
 
 
 def eigenvalues_symmetric(
@@ -69,13 +93,7 @@ def eigenvalues_symmetric(
     residual max-norm of M v - e v so callers can see the achieved
     accuracy.  Non-convergence raises instead of looping.
     """
-    mat = m.matrix if isinstance(m, DenseOperator) else np.asarray(m, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] > tolerances.dimension_cap:
-        raise ValueError(f"dimension {mat.shape[0]} exceeds cap {tolerances.dimension_cap}")
-    if not np.array_equal(mat, mat.T):
-        raise ValueError("matrix is not symmetric")
+    mat = _checked_symmetric(m, tolerances)
     try:
         evals, vecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -90,7 +108,12 @@ def is_ppt_dense(
     partition: Bipartition,
     tolerances: OracleTolerances = DEFAULT_ORACLE,
 ) -> bool:
-    """Positivity of the dense partial transpose across one partition."""
+    """Positivity of the dense partial transpose across one partition.
+
+    The smallest eigenvalue is >= -psd_tol exactly when PT + psd_tol * I
+    is positive semidefinite, which a Cholesky factorization decides
+    without computing any eigenvalue: it succeeds or raises.
+    """
     if state.n > tolerances.comparison_max_qubits:
         raise ValueError(
             f"dense oracle capped at {tolerances.comparison_max_qubits} qubits, got n={state.n}"
@@ -98,7 +121,13 @@ def is_ppt_dense(
     if partition.n != state.n:
         raise ValueError(f"mixed qubit counts {partition.n} and {state.n}")
     pt = partial_transpose(to_dense(state), partition.alpha1)
-    return eigenvalues_symmetric(pt, tolerances).min_eigenvalue >= -tolerances.psd_tol
+    # Cholesky reads one triangle only, so symmetry is checked first.
+    mat = _checked_symmetric(pt, tolerances)
+    try:
+        np.linalg.cholesky(mat + tolerances.psd_tol * np.eye(pt.dim))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def pt_spectrum_vs_coefficients(state: GhzDiagonalState, partition: Bipartition) -> float:

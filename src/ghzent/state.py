@@ -261,6 +261,13 @@ def _beta_error(beta, pos: int, n: int) -> ValueError:
     return ValueError(f"field 'weights[{pos}].beta' has {digits} digits, expected {n}")
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float; strings and booleans, which float() takes, are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
+
+
 def state_from_json_dict(data: dict) -> GhzDiagonalState:
     """Read a state from its JSON form.
 
@@ -294,11 +301,15 @@ def state_from_json_dict(data: dict) -> GhzDiagonalState:
         if not (isinstance(beta, str) and len(beta) == n and not beta.strip("01")):
             raise _beta_error(beta, pos, n)
         k = int(beta, 2)
-        try:
-            plus = float(entry.get("plus", 0.0))
-            minus = float(entry.get("minus", 0.0))
-        except (TypeError, ValueError):
-            raise ValueError(f"field 'weights[{pos}]' plus/minus must be numbers") from None
+        plus = entry.get("plus", 0.0)
+        minus = entry.get("minus", 0.0)
+        # json.loads gives most weights as floats; only the rest need a check
+        if type(plus) is not float or type(minus) is not float:
+            try:
+                plus = _json_number(plus)
+                minus = _json_number(minus)
+            except (TypeError, OverflowError):
+                raise ValueError(f"field 'weights[{pos}]' plus/minus must be numbers") from None
         if k & top:
             if convention == "canonical":
                 raise ValueError(

@@ -401,9 +401,9 @@ def test_partition_minima_matches_reference(state):
 
 
 @st.composite
-def sparse_states(draw):
+def sparse_states(draw, max_n=8):
     """At most three nonzero weights, often equal, so ties are common."""
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(2, max_n))
     slots = 1 << n
     positions = draw(st.lists(st.integers(0, slots - 1), min_size=1, max_size=3, unique=True))
     values = draw(

@@ -133,6 +133,11 @@ def test_oracle_check_agrees(capsys):
     doc = json.loads(out)
     assert doc["mismatches"] == 0
     assert doc["spectrum_deviation"] < 1e-12
+    assert 0.0 <= doc["max_residual"] < 1e-12
+    rc, out, _ = run(capsys, "oracle-check", "--n", "3", "--count", "2", "--seed", "4")
+    assert rc == 0
+    assert "mismatches=0 " in out
+    assert float(out.split("max_residual=")[1].split()[0]) < 1e-12
     rc, _, err = run(capsys, "oracle-check", "--n", "9", "--count", "1")
     assert rc == 2
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from ghzent.analytic import COEFFICIENT_TOL, classify
 from ghzent.oracle import (
     DEFAULT_ORACLE,
     OracleTolerances,
@@ -9,8 +11,15 @@ from ghzent.oracle import (
     partial_transpose,
     pt_spectrum_vs_coefficients,
 )
-from ghzent.state import DenseOperator, GhzDiagonalState, random_state, to_dense
+from ghzent.state import (
+    DenseOperator,
+    GhzDiagonalState,
+    mix_with_white_noise,
+    random_state,
+    to_dense,
+)
 from ghzent.subsets import SubsetMask, enumerate_bipartitions
+from test_analytic import ghz_at, sparse_states
 
 
 def random_symmetric(rng, n):
@@ -136,3 +145,94 @@ def test_spectrum_matches_block_coefficients():
         s = random_state(n, int(rng.integers(0, 10_000)))
         for p in enumerate_bipartitions(n):
             assert pt_spectrum_vs_coefficients(s, p) < 1e-12
+
+
+def partial_transpose_by_bits(rho, alpha):
+    """Reference: swap the alpha bits of the row and column index of every element."""
+    dim = rho.dim
+    m = alpha.bits
+    keep = (dim - 1) ^ m
+    r = np.arange(dim)[:, None]
+    c = np.arange(dim)[None, :]
+    return rho.matrix[(r & keep) | (c & m), (c & keep) | (r & m)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_partial_transpose_equals_bit_formula_for_every_mask(n):
+    rng = np.random.default_rng(60 + n)
+    rho = random_symmetric(rng, n)
+    for bits in range(1 << n):
+        alpha = SubsetMask(bits, n)
+        pt = partial_transpose(rho, alpha)
+        assert np.array_equal(pt.matrix, partial_transpose_by_bits(rho, alpha))
+        assert not np.shares_memory(pt.matrix, rho.matrix)  # fresh, even for the empty mask
+
+
+CUSTOM_TOLERANCES = (
+    DEFAULT_ORACLE,
+    OracleTolerances(psd_tol=1e-9),
+    OracleTolerances(psd_tol=0.01),
+)
+
+
+def assert_eigenvalue_rule(state, partition):
+    """is_ppt_dense decides: smallest PT eigenvalue >= -psd_tol, for each tolerance set."""
+    pt = partial_transpose(to_dense(state), partition.alpha1)
+    low = eigenvalues_symmetric(pt).min_eigenvalue
+    for tolerances in CUSTOM_TOLERANCES:
+        assert is_ppt_dense(state, partition, tolerances) == (low >= -tolerances.psd_tol)
+
+
+def verdict_corpus(n):
+    p_star = (1 << n) / ((1 << n) + 2)
+    yield random_state(n, 70 + n)
+    yield random_state(n, 80 + n)
+    for delta in (1e-3, 1e-6, 1e-9, 1e-11, 3e-12):
+        yield ghz_at(n, p_star - delta)
+        yield ghz_at(n, p_star + delta)
+    yield mix_with_white_noise(random_state(n, 90 + n), 0.995)  # near maximally mixed
+    sparse = np.zeros((2, 1 << (n - 1)))
+    sparse[0, 0], sparse[0, 1], sparse[1, -1] = 0.5, 0.2, 0.3
+    yield GhzDiagonalState(n, *(sparse / sparse.sum()))
+    yield GhzDiagonalState.pure_ghz(n)
+    yield GhzDiagonalState.maximally_mixed(n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_is_ppt_dense_returns_the_eigenvalue_rule_on_a_corpus(n):
+    partitions = enumerate_bipartitions(n)
+    # about a dozen cuts per state at n >= 6 keeps the eigensolver reference cheap
+    partitions = partitions[:: max(1, len(partitions) // 12)]
+    for state in verdict_corpus(n):
+        for partition in partitions:
+            assert_eigenvalue_rule(state, partition)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_states(max_n=6))  # exact zeros in the PT spectrum
+def test_is_ppt_dense_returns_the_eigenvalue_rule_on_sparse_weights(state):
+    for partition in enumerate_bipartitions(state.n):
+        assert_eigenvalue_rule(state, partition)
+
+
+def test_default_psd_tol_is_the_coefficient_tolerance_in_eigenvalue_units():
+    assert DEFAULT_ORACLE.psd_tol == COEFFICIENT_TOL / 2
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-12, float("nan"), float("inf")])
+def test_psd_tol_must_be_positive_and_finite(bad):
+    # at 0 a zero PT eigenvalue would fail the Cholesky test, though 0 >= -0
+    with pytest.raises(ValueError, match="psd_tol"):
+        OracleTolerances(psd_tol=bad)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("delta", [1e-9, 1e-11, 3e-12])
+def test_analytic_and_dense_agree_next_to_the_ghz_threshold(n, delta):
+    p_star = (1 << n) / ((1 << n) + 2)
+    partitions = enumerate_bipartitions(n)
+    for p, ppt in ((p_star - delta, False), (p_star + delta, True)):
+        state = ghz_at(n, p)
+        report = classify(state)
+        assert report.ppt.tolist() == [ppt] * len(partitions)
+        assert [is_ppt_dense(state, part) for part in partitions] == [ppt] * len(partitions)

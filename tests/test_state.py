@@ -319,6 +319,29 @@ def test_bad_beta_entries_exit_two_with_exact_message(capsys, weights, conventio
         assert (out.out, out.err) == ("", message)
 
 
+NOT_NUMBERS = "error: field 'weights[0]' plus/minus must be numbers\n"
+
+
+# float() takes the strings and booleans, and overflows on the huge integer
+@pytest.mark.parametrize(
+    "weight",
+    ['" 1e0 "', '"1"', "true", "false", '"nan"', "null", "[1]", '{"v": 1}', "1" + "0" * 400],
+)
+@pytest.mark.parametrize("field", ["plus", "minus"])
+def test_non_number_weights_exit_two_with_exact_message(capsys, field, weight):
+    other = "minus" if field == "plus" else "plus"
+    text = f'{{"n": 2, "weights": [{{"beta": "00", "{field}": {weight}, "{other}": 1.0}}]}}'
+    for command in ("classify", "threshold"):
+        assert main([command, "--input", text, "--format", "json"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", NOT_NUMBERS)
+
+
+def test_integer_weights_are_numbers():
+    as_ints = load_state('{"n": 2, "weights": [{"beta": "00", "plus": 1, "minus": 0}]}')
+    assert as_ints == GhzDiagonalState.pure_ghz(2)
+
+
 def _twirl_by_loop(rho):
     """Reference for ``twirl_to_ghz_diagonal``: one quadratic form per class and sign."""
     n = rho.n

@@ -13,7 +13,10 @@ import importlib.util
 from pathlib import Path
 
 import ghzent.cli
+import ghzent.oracle
 from ghzent.analytic import ClassificationReport
+from ghzent.state import load_state
+from ghzent.subsets import enumerate_bipartitions
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -63,3 +66,18 @@ def test_traced_cli_run_gives_the_same_answers(capsys):
             )
     for attr, fn in originals.items():
         assert getattr(ghzent.cli, attr) is fn
+
+
+def test_traced_is_ppt_dense_shows_its_dense_layers():
+    # is_ppt_dense must reach to_dense and partial_transpose through
+    # ghzent.oracle's globals, or the traced run cannot time those layers.
+    tracing = _tracing()
+    state = load_state(STATE)
+    partition = enumerate_bipartitions(state.n)[2]
+    tracer = tracing.Tracer()
+    tracer.request = 0
+    with tracing.installed(tracer):
+        verdict = ghzent.oracle.is_ppt_dense(state, partition)
+    assert verdict == ghzent.oracle.is_ppt_dense(state, partition)
+    names = sorted(span[0] for span in tracer.spans)
+    assert names == ["oracle.partial_transpose", "state.to_dense"]
