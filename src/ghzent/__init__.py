@@ -5,7 +5,10 @@ For each bipartition the partial transpose decomposes into 4-dimensional
 blocks whose eigenvalues are closed-form affine functions of the mixing
 weights, so separability across that cut reduces to a handful of sign
 checks.  The state is fully N-partite entangled exactly when every
-bipartition fails its check.
+bipartition fails its check.  "Fully entangled" here means NPT on every
+cut; it is not genuine multipartite entanglement, because a mixture of
+states that are each separable across some cut can still be NPT on every
+cut.
 
 The analytic path (:mod:`ghzent.analytic`) scales to two dozen qubits; the
 dense path (:mod:`ghzent.oracle`) builds the 2^N-dimensional matrices and
@@ -19,13 +22,10 @@ from .subsets import (
     canonical_beta,
     enumerate_bipartitions,
     enumerate_canonical_betas,
-    l_of_beta,
 )
 from .basis import (
     SparseStateVector,
     ghz_vector,
-    inner_product,
-    phi_vector,
 )
 from .state import (
     DenseOperator,
@@ -67,13 +67,10 @@ __all__ = [
     "SubsetMask",
     "Bipartition",
     "canonical_beta",
-    "l_of_beta",
     "enumerate_canonical_betas",
     "enumerate_bipartitions",
     "SparseStateVector",
     "ghz_vector",
-    "phi_vector",
-    "inner_product",
     "GhzDiagonalState",
     "DenseOperator",
     "to_dense",

@@ -25,6 +25,7 @@ from .subsets import (
     Bipartition,
     SubsetMask,
     bipartition_bit_strings,
+    bit_strings,
     enumerate_bipartitions,
 )
 
@@ -95,20 +96,19 @@ class ClassificationReport:
 
     def to_json_dict(self) -> dict:
         n = self.n
+        ppt, _, codes, values = self.columns()
         return {
             "n": n,
             "full_entangled": self.full_entangled,
             "partitions": [
                 {
                     "alpha1": alpha1,
-                    "ppt": ppt,
-                    "worst": {
-                        "beta": format(k, f"0{n}b"),
-                        "coeff": COEFFICIENT_NAMES[c],
-                        "value": value,
-                    },
+                    "ppt": p,
+                    "worst": {"beta": beta, "coeff": COEFFICIENT_NAMES[c], "value": value},
                 }
-                for alpha1, ppt, k, c, value in zip(bipartition_bit_strings(n), *self.columns())
+                for alpha1, p, beta, c, value in zip(
+                    bipartition_bit_strings(n), ppt, bit_strings(self.classes, n), codes, values
+                )
             ],
         }
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subsets import Bipartition, SubsetMask
+from .subsets import SubsetMask
 
 NORM_TOL = 1e-12
 
@@ -52,12 +52,6 @@ class SparseStateVector:
     def support(self) -> tuple[int, ...]:
         return tuple(idx for idx, _ in self.entries)
 
-    def amplitude(self, idx: int) -> float:
-        for i, amp in self.entries:
-            if i == idx:
-                return amp
-        return 0.0
-
     def to_dense(self) -> np.ndarray:
         vec = np.zeros(1 << self.n)
         for idx, amp in self.entries:
@@ -70,12 +64,6 @@ class SparseStateVector:
         return np.outer(v, v)
 
 
-def _two_point_vector(n: int, index: int, sign: int) -> SparseStateVector:
-    partner = index ^ ((1 << n) - 1)
-    lo, hi = (index, partner) if index < partner else (partner, index)
-    return SparseStateVector(n, ((lo, _INV_SQRT2), (hi, sign * _INV_SQRT2)))
-
-
 def ghz_vector(beta: SubsetMask, sign: int) -> SparseStateVector:
     """GHZ basis vector for a subset: (|l(beta)> +- |complement>)/sqrt(2).
 
@@ -84,25 +72,6 @@ def ghz_vector(beta: SubsetMask, sign: int) -> SparseStateVector:
     projector equality across the pair is exact by construction.
     """
     _check_sign(sign)
-    return _two_point_vector(beta.n, beta.bits, sign)
-
-
-def phi_vector(beta: SubsetMask, sign: int, partition: Bipartition) -> SparseStateVector:
-    """Partner vector of a subset relative to a bipartition.
-
-    Built by flipping the second group's bits of the subset index, which
-    re-indexes it onto the GHZ vector of ``beta XOR alpha2``: the flipped
-    index and its complement carry the two amplitudes.
-    """
-    _check_sign(sign)
-    if partition.n != beta.n:
-        raise ValueError(f"mixed qubit counts {beta.n} and {partition.n}")
-    return _two_point_vector(beta.n, beta.bits ^ partition.alpha2.bits, sign)
-
-
-def inner_product(a: SparseStateVector, b: SparseStateVector) -> float:
-    """Real inner product <a|b> over the shared support."""
-    if a.n != b.n:
-        raise ValueError(f"mixed qubit counts {a.n} and {b.n}")
-    amps = dict(b.entries)
-    return sum(amp * amps[idx] for idx, amp in a.entries if idx in amps)
+    partner = beta.bits ^ ((1 << beta.n) - 1)
+    lo, hi = sorted((beta.bits, partner))
+    return SparseStateVector(beta.n, ((lo, _INV_SQRT2), (hi, sign * _INV_SQRT2)))

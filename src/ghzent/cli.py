@@ -2,14 +2,16 @@
 
 Subcommands: classify, oracle-check, random, threshold, basis, bench.
 For ``classify`` the exit code carries the physics verdict: 0 means fully
-entangled, 1 means some partition is PPT (biseparable there), 2 means the
-input was rejected.  JSON output is byte-deterministic for fixed inputs,
-seeds and flags; bench emits CSV timings and is the one exception.
+entangled (NPT on every cut), 1 means some partition is PPT (biseparable
+there), 2 means the input was rejected.  JSON output is byte-deterministic
+for fixed inputs, seeds and flags; bench emits CSV timings and is the one
+exception.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import statistics
@@ -48,6 +50,7 @@ from .state import (
 )
 from .subsets import (
     bipartition_bit_strings,
+    bit_strings,
     enumerate_bipartitions,
     enumerate_canonical_betas,
 )
@@ -92,7 +95,7 @@ _THRESHOLD_ROW = '    {\n      "alpha1": "%s",\n      "threshold": %r\n    }'
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _json_document(fields: str, rows) -> str:
+def _json_document(fields: str, rows: list[str]) -> str:
     return f'{{\n{fields},\n  "partitions": [\n' + ",\n".join(rows) + "\n  ]\n}"
 
 
@@ -102,11 +105,13 @@ def cmd_classify(args) -> int:
     n = report.n
     if args.format == "json":
         fields = f'  "n": {n},\n  "full_entangled": {_JSON_BOOL[report.full_entangled]}'
-        rows = (
-            _CLASSIFY_ROW
-            % (alpha1, _JSON_BOOL[ppt], format(k, f"0{n}b"), COEFFICIENT_NAMES[c], value)
-            for alpha1, ppt, k, c, value in zip(bipartition_bit_strings(n), *report.columns())
-        )
+        ppt, _, codes, values = report.columns()
+        rows = [
+            _CLASSIFY_ROW % (alpha1, _JSON_BOOL[p], beta, COEFFICIENT_NAMES[c], value)
+            for alpha1, p, beta, c, value in zip(
+                bipartition_bit_strings(n), ppt, bit_strings(report.classes, n), codes, values
+            )
+        ]
         print(_json_document(fields, rows))
     else:
         ppt_count = int(report.ppt.sum())
@@ -206,8 +211,11 @@ def cmd_threshold(args) -> int:
             f'  "n": {state.n},\n  "full_entanglement_threshold": {overall!r},\n'
             f'  "ghz_closed_form": {"null" if ghz_closed_form is None else repr(ghz_closed_form)}'
         )
-        rows = zip(bipartition_bit_strings(state.n), thresholds.tolist())
-        print(_json_document(fields, (_THRESHOLD_ROW % row for row in rows)))
+        rows = [
+            _THRESHOLD_ROW % row
+            for row in zip(bipartition_bit_strings(state.n), thresholds.tolist())
+        ]
+        print(_json_document(fields, rows))
     else:
         print(f"n = {state.n}")
         for p, t in zip(enumerate_bipartitions(state.n), thresholds.tolist()):
@@ -272,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ghzent",
         description=(
             "Decide which bipartitions a GHZ-diagonal state is biseparable "
-            "across and whether it is fully N-partite entangled."
+            "across and whether it is fully N-partite entangled. Fully "
+            "entangled means NPT on every cut. That is not genuine multipartite "
+            "entanglement: a mixture of states that are each separable across "
+            "some cut can still be NPT on every cut."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -311,8 +322,14 @@ _DEFAULT_COUNTS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.count is None:
         args.count = _DEFAULT_COUNTS.get(args.command, 1)
     if args.count < 1:

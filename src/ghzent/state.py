@@ -25,6 +25,11 @@ WEIGHT_CLAMP = 1e-12
 MAX_DENSE_QUBITS = 10
 
 
+def _check_qubit_count(n: int) -> None:
+    if not 2 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in 2..{MAX_QUBITS}, got {n}")
+
+
 def _clean_weights(values, n: int, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     expected = 1 << (n - 1)
@@ -52,8 +57,7 @@ class GhzDiagonalState:
     __slots__ = ("_n", "_lambda_plus", "_lambda_minus")
 
     def __init__(self, n: int, lambda_plus, lambda_minus):
-        if not 2 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 2..{MAX_QUBITS}, got {n}")
+        _check_qubit_count(n)
         lp = _clean_weights(lambda_plus, n, "lambda_plus")
         lm = _clean_weights(lambda_minus, n, "lambda_minus")
         total = float(lp.sum() + lm.sum())
@@ -221,8 +225,7 @@ def twirl_to_ghz_diagonal(rho: DenseOperator, strict: bool = False) -> tuple[Ghz
 
 def random_state(n: int, seed: int) -> GhzDiagonalState:
     """Uniform draw from the weight simplex (flat Dirichlet), seeded."""
-    if n < 2:
-        raise ValueError(f"need at least 2 qubits, got n={n}")
+    _check_qubit_count(n)
     rng = np.random.default_rng(seed)
     w = rng.exponential(size=(1 << (n - 1), 2))
     w /= w.sum()

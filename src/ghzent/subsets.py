@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_QUBITS = 24
 
 
@@ -128,14 +130,6 @@ class Bipartition:
         return f"Bipartition({self.split_string()!r})"
 
 
-def l_of_beta(beta: SubsetMask) -> int:
-    """Basis index of a subset: sum of 2^(n-m) over contained qubits m.
-
-    By the bit layout this is just the mask value.
-    """
-    return beta.bits
-
-
 def canonical_beta(beta: SubsetMask) -> SubsetMask:
     """The representative of {beta, complement} that excludes qubit 1.
 
@@ -158,7 +152,21 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
     return [Bipartition(SubsetMask(top | k, n)) for k in range(top - 1)]
 
 
+def bit_strings(masks, n: int) -> list[str]:
+    """``SubsetMask(m, n).bit_string()`` of every mask in an int array, in order.
+
+    Each mask is unpacked as four big-endian bytes, so its last n bits come
+    out most significant first; all digits go into one ASCII buffer, which
+    is then cut into n-character strings.
+    """
+    digits = np.unpackbits(np.asarray(masks, dtype=">u4").view(np.uint8).reshape(-1, 4), axis=1)
+    digits = digits[:, 32 - n :]
+    digits |= ord("0")
+    text = digits.tobytes().decode("ascii")
+    return [text[i : i + n] for i in range(0, len(text), n)]
+
+
 def bipartition_bit_strings(n: int) -> list[str]:
     """The ``alpha1`` bit strings of ``enumerate_bipartitions(n)``, in its order."""
     top = 1 << (n - 1)
-    return [format(top | k, f"0{n}b") for k in range(top - 1)]
+    return bit_strings(np.arange(top, 2 * top - 1), n)

@@ -18,7 +18,7 @@ from ghzent.analytic import (
     full_entanglement_threshold,
     is_ppt,
 )
-from ghzent.basis import ghz_vector, phi_vector
+from ghzent.basis import ghz_vector
 from ghzent.cli import BENCH_CSV_HEADER, main as cli_main
 from ghzent.oracle import (
     eigenvalues_symmetric,
@@ -38,6 +38,7 @@ from ghzent.subsets import (
     enumerate_bipartitions,
     enumerate_canonical_betas,
 )
+from test_basis import phi_vector
 
 
 def criterion(num, desc):

@@ -15,7 +15,6 @@ from ghzent.analytic import (
     partition_minima,
     partition_thresholds,
 )
-from ghzent.basis import phi_vector
 from ghzent.oracle import eigenvalues_symmetric, is_ppt_dense, partial_transpose
 from ghzent.state import (
     GhzDiagonalState,
@@ -30,6 +29,7 @@ from ghzent.subsets import (
     enumerate_bipartitions,
     enumerate_canonical_betas,
 )
+from test_basis import phi_vector
 
 
 # -- one block at a time: the per-class reference for the vectorized paths -----

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghzent.basis import SparseStateVector, ghz_vector, inner_product, phi_vector
+from ghzent.basis import SparseStateVector, ghz_vector
 from ghzent.subsets import (
     Bipartition,
     SubsetMask,
@@ -12,6 +12,32 @@ from ghzent.subsets import (
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+def amplitude(vec: SparseStateVector, idx: int) -> float:
+    return dict(vec.entries).get(idx, 0.0)
+
+
+def inner_product(a: SparseStateVector, b: SparseStateVector) -> float:
+    """Real inner product <a|b> over the shared support."""
+    if a.n != b.n:
+        raise ValueError(f"mixed qubit counts {a.n} and {b.n}")
+    amps = dict(b.entries)
+    return sum(amp * amps[idx] for idx, amp in a.entries if idx in amps)
+
+
+def phi_vector(beta: SubsetMask, sign: int, partition: Bipartition) -> SparseStateVector:
+    """Partner vector of a subset relative to a bipartition.
+
+    The GHZ vector of ``beta`` with the second group's bits flipped in both
+    support indices, in the basis phase convention: +1/sqrt(2) on the
+    smaller index and the sign label on the larger one.
+    """
+    if partition.n != beta.n:
+        raise ValueError(f"mixed qubit counts {beta.n} and {partition.n}")
+    flip = partition.alpha2.bits
+    lo, hi = sorted(idx ^ flip for idx in ghz_vector(beta, sign).support)
+    return SparseStateVector(beta.n, ((lo, INV_SQRT2), (hi, sign * INV_SQRT2)))
+
+
 def test_vector_support_and_amplitudes():
     beta = SubsetMask.from_bit_string("011")
     plus = ghz_vector(beta, +1)
@@ -19,11 +45,11 @@ def test_vector_support_and_amplitudes():
     assert plus.support == (3, 4)
     assert minus.support == (3, 4)
     # plus sign sits on the smaller index, the label sign on the larger
-    assert plus.amplitude(3) == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert plus.amplitude(4) == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert minus.amplitude(3) == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert minus.amplitude(4) == pytest.approx(-INV_SQRT2, abs=1e-15)
-    assert plus.amplitude(0) == 0.0
+    assert amplitude(plus, 3) == pytest.approx(INV_SQRT2, abs=1e-15)
+    assert amplitude(plus, 4) == pytest.approx(INV_SQRT2, abs=1e-15)
+    assert amplitude(minus, 3) == pytest.approx(INV_SQRT2, abs=1e-15)
+    assert amplitude(minus, 4) == pytest.approx(-INV_SQRT2, abs=1e-15)
+    assert amplitude(plus, 0) == 0.0
 
 
 def test_vector_is_normalized():

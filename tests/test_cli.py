@@ -219,9 +219,31 @@ def _byte_identity_corpus():
         for p in (0.0, p_star - 1e-9, p_star, p_star + 1e-9, 1.0):
             state = mix_with_white_noise(GhzDiagonalState.pure_ghz(n), p)
             cases.append((f"ghz-n{n}-p{p!r}", state_to_json_dict(state)))
-    cases.append(("mixed-n4", state_to_json_dict(GhzDiagonalState.maximally_mixed(4))))
+    for n in (11, 12):
+        cases.append((f"random-n{n}-s3", state_to_json_dict(random_state(n, 3))))
+    for n in (4, 12):
+        cases.append((f"mixed-n{n}", state_to_json_dict(GhzDiagonalState.maximally_mixed(n))))
     cases.append(("full-n5", _full_convention(random_state(5, 7))))
     return cases
+
+
+def _classify_dict(report):
+    return {
+        "n": report.n,
+        "full_entangled": report.full_entangled,
+        "partitions": [
+            {
+                "alpha1": v.partition.alpha1.bit_string(),
+                "ppt": v.is_ppt,
+                "worst": {
+                    "beta": v.worst.beta.bit_string(),
+                    "coeff": v.worst.coefficient,
+                    "value": v.worst.value,
+                },
+            }
+            for v in report.partitions
+        ],
+    }
 
 
 def _threshold_dict(state):
@@ -248,7 +270,19 @@ def test_json_output_equals_json_dumps_of_dict_form(capsys, doc):
     report = classify(state)
     rc, out, err = run(capsys, "classify", "--input", text, "--format", "json")
     assert (rc, err) == (0 if report.full_entangled else 1, "")
-    assert out == json.dumps(report.to_json_dict(), indent=2) + "\n"
+    expected = _classify_dict(report)
+    assert report.to_json_dict() == expected
+    assert out == json.dumps(expected, indent=2) + "\n"
     rc, out, err = run(capsys, "threshold", "--input", text, "--format", "json")
     assert (rc, err) == (0, "")
     assert out == json.dumps(_threshold_dict(state), indent=2) + "\n"
+
+
+def test_parser_reuse_carries_nothing_between_calls(capsys):
+    doc = state_to_json_dict(random_state(4, 5))
+    text = json.dumps(doc)
+    alone = run(capsys, "classify", "--input", text, "--format", "json")
+    assert alone[0] == 0
+    rc, out, _ = run(capsys, "classify", "--input", text, "--tol", "0.5", "--format", "table")
+    assert rc == 1 and out.startswith("n = 4")
+    assert run(capsys, "classify", "--input", text, "--format", "json") == alone

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,27 @@ def test_random_state_is_deterministic_and_normalized():
     total = a.lambda_plus.sum() + a.lambda_minus.sum()
     assert abs(total - 1.0) < 1e-12
     assert np.all(a.lambda_plus >= 0) and np.all(a.lambda_minus >= 0)
+
+
+def test_random_state_checks_qubit_count_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"qubit count must be in 2\.\.24, got 25"):
+            random_state(25, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=rf"qubit count must be in 2\.\.24, got {n}"):
+            random_state(n, 0)
+
+
+def test_random_command_rejects_too_many_qubits(capsys):
+    assert main(["random", "--n", "25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: qubit count must be in 2..24, got 25\n"
 
 
 def test_white_noise_endpoints():

@@ -5,11 +5,17 @@ from ghzent.subsets import (
     MAX_QUBITS,
     Bipartition,
     SubsetMask,
+    bipartition_bit_strings,
+    bit_strings,
     canonical_beta,
     enumerate_bipartitions,
     enumerate_canonical_betas,
-    l_of_beta,
 )
+
+
+def l_of_beta(beta: SubsetMask) -> int:
+    """Basis index of a subset: sum of 2^(n-m) over contained qubits m."""
+    return sum(1 << (beta.n - m) for m in beta.qubits())
 
 
 def test_mask_construction_bounds():
@@ -164,3 +170,17 @@ def test_two_qubit_single_cut():
     parts = enumerate_bipartitions(2)
     assert len(parts) == 1
     assert parts[0].split_string() == "1|2"
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_bit_strings_match_format(n):
+    masks = np.arange(1 << n)
+    assert bit_strings(masks, n) == [format(m, f"0{n}b") for m in range(1 << n)]
+    assert bit_strings(np.array([], dtype=np.int64), n) == []
+    top = (1 << n) - 1
+    assert bit_strings(np.array([0, top, 0]), n) == ["0" * n, "1" * n, "0" * n]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_bipartition_bit_strings_follow_enumeration(n):
+    assert bipartition_bit_strings(n) == [p.alpha1.bit_string() for p in enumerate_bipartitions(n)]
