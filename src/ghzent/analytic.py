@@ -167,13 +167,20 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
     included.
 
     With s = lambda_plus + lambda_minus, d = lambda_plus - lambda_minus and
-    partner k = j ^ alpha2, the pair {j, k} contributes min(B_j, E_j) =
+    partner k = j ^ alpha2, the pair (j, k) contributes min(B_j, E_j) =
     s_k - |d_j| and min(C_k, D_k) = s_k - |d_j| as well, so the minimum of
-    cut alpha2 is min_j (s[j ^ alpha2] - |d_j|).  Classes are visited in
-    decreasing |d_j|, a block of them against every cut at once, and the
-    scan stops once min(s) - |d_j| exceeds the largest minimum found so
-    far: no later class can reach any cut's minimum.  Flat |d|, as in the
-    maximally mixed state, defeats the bound and visits every class.
+    cut alpha2 is min_j (s[j ^ alpha2] - |d_j|).  The scan reaches the
+    pairs from two sides, a block of classes against every open cut at
+    once: rows j in decreasing |d_j| and partners k in increasing s_k,
+    each block from the side whose next block raises s_next - |d_next|
+    more.  A pair not yet evaluated is unvisited on both sides, so it is
+    no smaller than s_next - |d_next|, and a cut is closed once that bound,
+    less a few-ulp margin, exceeds its minimum.  Near that point the bound
+    is made exact by putting the extremes of the unvisited operands into
+    the formulas' operation order; a cut whose minimum equals it can only
+    move its witness to a smaller row, and those rows are checked
+    directly.  Weights that tie in both s and |d|, such as quantised ones,
+    still evaluate O(4^n) pairs.
     """
     lp = state.lambda_plus
     lm = state.lambda_minus
@@ -181,49 +188,179 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
     alpha2 = np.arange(n_cls - 1, 0, -1)
     s = lp + lm
     neg_abs_d = -np.abs(lp - lm)
-    order = np.argsort(neg_abs_d, kind="stable")
     # Each coefficient below is evaluated in the operation order of the
     # B, C, D, E formulas, so the values are exact table entries; the
     # margin covers the rounding between them and the bound's s - |d|.
     margin = 8.0 * np.finfo(float).eps * float(s.max())
-    floor = float(s.min())
     best = np.full(alpha2.size, np.inf)
     row = np.zeros(alpha2.size, dtype=np.int64)
+    live = np.arange(alpha2.size)  # open cuts: minimum or witness may still change
+    # Rows by increasing -|d| and partners by increasing s, each sorted only
+    # on a prefix that grows as the scan needs it; partners not before their
+    # side is first chosen.
     step = max(1, min(_BLOCK_CLASSES, _BLOCK_ENTRIES // alpha2.size))
-    for start in range(0, n_cls, step):
-        if floor + neg_abs_d[order[start]] - margin > best.max():
+    rows = np.arange(n_cls)
+    rows_ranked = _rank_prefix(neg_abs_d, rows, 0, step + 1)
+    partners = np.arange(n_cls)
+    partners_ranked = 0
+    floor = s.min()
+    size = min(_BLOCK_CLASSES * alpha2.size, max(_BLOCK_ENTRIES, alpha2.size))
+    int_bufs = np.empty((2, size), dtype=np.int64)
+    float_bufs = np.empty((4, size))
+    r = p = 0  # rows and partners visited
+    exact_at = None
+    while r < n_cls and p < n_cls:
+        d_next = neg_abs_d[rows[r]]
+        s_next = s[partners[p]] if partners_ranked else floor
+        bound = s_next + d_next
+        live = live[best[live] >= bound - margin]
+        if live.size and best[live].min() <= bound + margin:
+            # Floating + and - are monotone in each operand, so this bounds
+            # every entry of an unvisited pair with no margin.  It stays a
+            # bound as the unvisited sets shrink, so it is only recomputed
+            # when s_next or |d_next| moves.
+            if exact_at != (d_next, s_next):
+                exact_at = (d_next, s_next)
+                lp_j = lp[rows[r:]]
+                lm_j = lm[rows[r:]]
+                exact = min(
+                    ((d_next + lp[partners[p:]]) + lm[partners[p:]]).min(),
+                    ((s_next - lp_j) + lm_j).min(),
+                    ((s_next + lp_j) - lm_j).min(),
+                )
+            live = live[best[live] >= exact]
+            tied = best[live] == exact
+            if tied.any():
+                live = np.concatenate(
+                    (live[~tied], _settle_ties(lp, lm, alpha2, row, live[tied], exact))
+                )
+        if not live.size:
             break
-        j = order[start : start + step, None]
-        k = j ^ alpha2
-        ep = lp[k]
-        em = lm[k]
-        # min(B_j, E_j) in row j and min(C_k, D_k) in row k.
-        be = neg_abs_d[j] + ep
-        be += em
-        cd = ep + em  # s[k]: the same sum of the same weights
-        coef_d = cd + lp[j]
-        coef_d -= lm[j]
-        cd -= lp[j]
-        cd += lm[j]
+        step = max(1, min(_BLOCK_CLASSES, _BLOCK_ENTRIES // live.size))
+        r_end = min(r + step, n_cls)
+        p_end = min(p + step, n_cls)
+        if rows_ranked <= r_end < n_cls:
+            rows_ranked = _rank_prefix(neg_abs_d, rows, rows_ranked, 2 * r_end)
+        row_gain = neg_abs_d[rows[r_end]] - d_next if r_end < n_cls else np.inf
+        if p_end == n_cls:
+            partner_gain = np.inf
+        elif partners_ranked > p_end:
+            partner_gain = s[partners[p_end]] - s_next
+        else:
+            partner_gain = np.partition(s[partners[p:]], p_end - p)[p_end - p] - s_next
+        partner_side = partner_gain > row_gain
+        if partner_side and partners_ranked <= p_end < n_cls:
+            partners_ranked = _rank_prefix(s, partners, partners_ranked, 2 * p_end)
+        cut = alpha2[live]
+        blk = (p_end - p) if partner_side else (r_end - r)
+        idx, hits = int_bufs[:, : blk * cut.size].reshape(2, blk, cut.size)
+        x, y, be, cd = float_bufs[:, : blk * cut.size].reshape(4, blk, cut.size)
+        # min(B_j, E_j) in row j and min(C_k, D_k) in row k, written into
+        # buffers allocated once per scan.
+        if partner_side:
+            k = partners[p:p_end, None]
+            j = np.bitwise_xor(k, cut, out=idx)
+            p = p_end
+            np.take(neg_abs_d, j, out=be)
+            be += lp[k]
+            be += lm[k]
+            lp_j = np.take(lp, j, out=x)
+            lm_j = np.take(lm, j, out=y)
+            np.subtract(s[k], lp_j, out=cd)
+            cd += lm_j
+            coef_d = np.add(s[k], lp_j, out=x)
+            coef_d -= lm_j
+        else:
+            j = rows[r:r_end, None]
+            k = np.bitwise_xor(j, cut, out=idx)
+            r = r_end
+            ep = np.take(lp, k, out=x)
+            em = np.take(lm, k, out=y)
+            np.add(neg_abs_d[j], ep, out=be)
+            be += em
+            np.add(ep, em, out=cd)  # s[k]: the same sum of the same weights
+            coef_d = np.add(cd, lp[j], out=x)
+            coef_d -= lm[j]
+            cd -= lp[j]
+            cd += lm[j]
         np.minimum(cd, coef_d, out=cd)
         low = np.minimum(be.min(axis=0), cd.min(axis=0))
         # A block changes a cut only by lowering its minimum or by tying it
         # in a smaller row; skip the row search when it does neither.
-        reach = np.minimum(k.min(axis=0), j.min())
-        if not ((low < best) | ((low == best) & (reach < row))).any():
+        held = best[live]
+        at = row[live]
+        reach = np.minimum(j.min(axis=0), k.min(axis=0))
+        if not ((low < held) | ((low == held) & (reach < at))).any():
             continue
-        at = np.minimum(
-            np.where(be == low, j, n_cls).min(axis=0), np.where(cd == low, k, n_cls).min(axis=0)
+        # With the rows shifted below zero, the smallest row holding low in
+        # a column is the column minimum of (value == low) * (row - n_cls).
+        idx -= n_cls
+        j_off, k_off = (idx, k - n_cls) if partner_side else (j - n_cls, idx)
+        first = n_cls + np.minimum(
+            np.multiply(be == low, j_off, out=hits).min(axis=0),
+            np.multiply(cd == low, k_off, out=hits).min(axis=0),
         )
-        take = (low < best) | ((low == best) & (at < row))
-        best[take] = low[take]
-        row[take] = at[take]
+        take = (low < held) | ((low == held) & (first < at))
+        best[live[take]] = low[take]
+        row[live[take]] = first[take]
     partner = row ^ alpha2
     table = np.stack(
         _coefficients_from_weights(lp[row], lm[row], lp[partner], lm[partner]), axis=1
     )
     codes = np.argmin(table, axis=1)
     return table[np.arange(row.size), codes], row, codes
+
+
+def _rank_prefix(key, order, ranked, m) -> int:
+    """Extend the sorted prefix of ``order`` from ``ranked`` to ``m`` entries.
+
+    ``order[ranked:]`` is in increasing class order.  Afterwards
+    ``order[:m]`` is the start of the stable argsort of ``key``, ties going
+    to the smaller class, so tied classes are met smallest first, and the
+    rest is still in increasing class order.  Selecting pays off only for a
+    prefix that is a small share of the tail; otherwise the whole tail is
+    sorted.  Returns the new prefix length.
+    """
+    if order.size - ranked <= 64 * (m - ranked):
+        m = order.size
+    tail = order[ranked:]
+    keys = key[tail]
+    if m < order.size:
+        need = m - ranked
+        edge = np.partition(keys, need - 1)[need - 1]
+        take = keys < edge
+        take[np.flatnonzero(keys == edge)[: need - np.count_nonzero(take)]] = True
+        head = tail[take]
+        order[m:] = tail[~take]
+        tail = head
+        keys = key[head]
+    order[ranked:m] = tail[np.argsort(keys, kind="stable")]
+    return m
+
+
+def _settle_ties(lp, lm, alpha2, row, cuts, top) -> np.ndarray:
+    """Settle cuts whose minimum ``top`` equals the scan's exact stop bound.
+
+    No unvisited entry is below ``top``, so a tied cut keeps its minimum,
+    and its witness can only move to a smaller row holding the same value;
+    witness row 0 is final.  For a cut whose witness row is at most one
+    block of classes, the four entries of every smaller row are evaluated
+    in the formulas' operation order.  Returns the cuts left open.
+    """
+    fits = row[cuts] <= _BLOCK_CLASSES
+    done = cuts[fits]
+    counts = row[done]
+    total = int(counts.sum())
+    if total:
+        starts = np.cumsum(counts) - counts
+        cut = np.repeat(done, counts)
+        i = np.arange(total) - np.repeat(starts, counts)
+        k = i ^ alpha2[cut]
+        low = np.minimum.reduce(_coefficients_from_weights(lp[i], lm[i], lp[k], lm[k]))
+        hit = np.where(low == top, i, row[cut])
+        held = counts > 0
+        row[done[held]] = np.minimum.reduceat(hit, starts[held])
+    return cuts[~fits]
 
 
 def partition_thresholds(state: GhzDiagonalState) -> np.ndarray:

@@ -42,6 +42,7 @@ from .oracle import (
 from .basis import ghz_vector
 from .state import (
     GhzDiagonalState,
+    _check_qubit_count,
     dump_state,
     load_state,
     random_state,
@@ -229,6 +230,7 @@ def cmd_threshold(args) -> int:
 def cmd_basis(args) -> int:
     if args.n is None:
         raise ValueError("missing --n")
+    _check_qubit_count(args.n)
     rows = []
     for beta in enumerate_canonical_betas(args.n):
         for sign, label in ((+1, "+"), (-1, "-")):
@@ -259,13 +261,30 @@ def _median_ms(fn, repetitions: int) -> float:
     return statistics.median(times)
 
 
+def _bench_dephased(n: int, seed: int) -> GhzDiagonalState:
+    """A random state with lambda_plus = lambda_minus in every class."""
+    state = random_state(n, seed)
+    half = (state.lambda_plus + state.lambda_minus) / 2
+    return GhzDiagonalState(n, half, half)
+
+
+def _bench_quantised(n: int, seed: int) -> GhzDiagonalState:
+    """Weights drawn from {0, 1, 2, 3}, normalised: ties in both s and |d|."""
+    weights = np.random.default_rng(seed).integers(0, 4, size=(2, 1 << (n - 1)))
+    weights = weights / weights.sum()
+    return GhzDiagonalState(n, weights[0], weights[1])
+
+
 def cmd_bench(args) -> int:
     reps = max(args.count, 1)
     lines = [BENCH_CSV_HEADER]
-    for n in range(8, 15):
-        state = random_state(n, args.seed)
+    cases = [("analytic_classify", n, random_state(n, args.seed)) for n in range(8, 17)]
+    cases += [("analytic_classify_flat", n, GhzDiagonalState.maximally_mixed(n)) for n in (12, 14, 16)]
+    cases += [("analytic_classify_dephased", n, _bench_dephased(n, args.seed)) for n in (12, 14, 16)]
+    cases.append(("analytic_classify_quantised", 12, _bench_quantised(12, args.seed)))
+    for path, n, state in cases:
         ms = _median_ms(lambda: classify(state), reps)
-        lines.append(f"analytic_classify,{n},{(1 << (n - 1)) - 1},{ms:.3f}")
+        lines.append(f"{path},{n},{(1 << (n - 1)) - 1},{ms:.3f}")
     for n in range(4, 9):
         state = random_state(n, args.seed)
         partition = enumerate_bipartitions(n)[0]

@@ -39,6 +39,7 @@ from ghzent.subsets import (
     enumerate_canonical_betas,
 )
 from test_basis import phi_vector
+from test_cli import BENCH_ROWS
 
 
 def criterion(num, desc):
@@ -201,9 +202,6 @@ def test_performance_and_bench():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == BENCH_CSV_HEADER
     rows = [line.split(",") for line in lines[1:]]
-    analytic = [r for r in rows if r[0] == "analytic_classify"]
-    dense = [r for r in rows if r[0] == "dense_partition"]
-    assert [int(r[1]) for r in analytic] == list(range(8, 15))
-    assert [int(r[1]) for r in dense] == list(range(4, 9))
+    assert [(r[0], int(r[1])) for r in rows] == BENCH_ROWS
     for r in rows:
         assert int(r[2]) >= 1 and float(r[3]) > 0.0

@@ -1,3 +1,4 @@
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,8 +382,52 @@ def ghz_at(n, p):
     return mix_with_white_noise(GhzDiagonalState.pure_ghz(n), p)
 
 
+def from_weights(n, weights):
+    """State with ``weights`` (lambda_plus then lambda_minus), normalised."""
+    weights = np.asarray(weights, dtype=float)
+    weights = weights / weights.sum()
+    half = weights.size // 2
+    return GhzDiagonalState(n, weights[:half], weights[half:])
+
+
+def dephased_state(n, seed):
+    """Random weights with lambda_plus = lambda_minus in every class: |d| = 0."""
+    w = np.random.default_rng(seed).exponential(size=1 << (n - 1))
+    return from_weights(n, np.concatenate([w, w]))
+
+
+def classical_ghz(n):
+    """(|0...0><0...0| + |1...1><1...1|) / 2: class 0 has lambda_plus = lambda_minus = 1/2."""
+    weights = np.zeros(1 << n)
+    weights[[0, 1 << (n - 1)]] = 1.0
+    return from_weights(n, weights)
+
+
+def parity_flat_state(n, seed):
+    """Weights set by the sign and the parity of the class: two values each of s and |d|."""
+    levels = np.random.default_rng(seed).exponential(size=4)
+    parity = np.array([bin(j).count("1") & 1 for j in range(1 << (n - 1))])
+    return from_weights(n, np.concatenate([levels[parity], levels[2 + parity]]))
+
+
+def quantised_state(n, seed):
+    """Weights drawn from {0, 1, 2, 3}: ties in both s and |d|."""
+    weights = np.random.default_rng(seed).integers(0, 4, size=1 << n)
+    weights[0] += weights.sum() == 0
+    return from_weights(n, weights)
+
+
+def sparse_repeated_state(n, seed):
+    """A few nonzero weights, each 1 or 2."""
+    rng = np.random.default_rng(seed)
+    weights = np.zeros(1 << n)
+    slots = rng.choice(1 << n, size=min(1 << n, 5), replace=False)
+    weights[slots] = rng.choice([1.0, 2.0], size=slots.size)
+    return from_weights(n, weights)
+
+
 def scan_corpus():
-    for n in range(2, 11):
+    for n in range(2, 12):
         p_star = (1 << n) / ((1 << n) + 2)
         for seed in range(5):
             yield pytest.param(random_state(n, seed), id=f"random-n{n}-seed{seed}")
@@ -393,6 +438,14 @@ def scan_corpus():
             p = 0.99 + 0.003 * seed
             state = mix_with_white_noise(random_state(n, 50 + seed), p)
             yield pytest.param(state, id=f"near-mixed-n{n}-p{p}")
+        yield pytest.param(classical_ghz(n), id=f"classical-ghz-n{n}")
+        for seed in range(2):
+            yield pytest.param(dephased_state(n, seed), id=f"dephased-n{n}-seed{seed}")
+            yield pytest.param(parity_flat_state(n, seed), id=f"parity-flat-n{n}-seed{seed}")
+            yield pytest.param(quantised_state(n, seed), id=f"quantised-n{n}-seed{seed}")
+            yield pytest.param(sparse_repeated_state(n, seed), id=f"sparse-repeated-n{n}-seed{seed}")
+        state = mix_with_white_noise(dephased_state(n, 70), 0.5)
+        yield pytest.param(state, id=f"dephased-half-mixed-n{n}")
 
 
 @pytest.mark.parametrize("state", scan_corpus())
@@ -426,6 +479,22 @@ def test_partition_minima_matches_reference_on_sparse_weights(state):
     assert_minima_match_reference(state)
 
 
+@st.composite
+def quantised_states(draw):
+    """Every weight in {0, 1, 2, 3}, normalised: ties in both s and |d|."""
+    n = draw(st.integers(2, 8))
+    weights = draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
+    if not any(weights):
+        weights[draw(st.integers(0, (1 << n) - 1))] = draw(st.integers(1, 3))
+    return from_weights(n, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quantised_states())
+def test_partition_minima_matches_reference_on_quantised_weights(state):
+    assert_minima_match_reference(state)
+
+
 def test_partition_minima_tie_break_on_flat_weights():
     # every coefficient equals 2/2^n: class 0 and coefficient B win everywhere
     for n in range(2, 9):
@@ -433,6 +502,26 @@ def test_partition_minima_tie_break_on_flat_weights():
         assert (values == 2.0 / (1 << n)).all()
         assert (classes == 0).all()
         assert (codes == COEFFICIENT_NAMES.index("B")).all()
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        pytest.param(GhzDiagonalState.maximally_mixed(14), id="mixed"),
+        pytest.param(classical_ghz(14), id="classical-ghz"),
+        pytest.param(dephased_state(14, 0), id="dephased"),
+    ],
+)
+def test_classify_settles_tied_states_at_n14_quickly(state):
+    # Flat |d| and lambda_plus = lambda_minus tie on every cut; an exact stop
+    # bound and the witness-row tie check settle them in a block or two
+    # (a few ms) instead of visiting all 8192 classes (about a second).
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        classify(state)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
 
 
 @pytest.mark.parametrize("state", scan_corpus())

@@ -22,6 +22,15 @@ MIXED_2 = (
 )
 
 
+BENCH_ROWS = (
+    [("analytic_classify", n) for n in range(8, 17)]
+    + [("analytic_classify_flat", n) for n in (12, 14, 16)]
+    + [("analytic_classify_dephased", n) for n in (12, 14, 16)]
+    + [("analytic_classify_quantised", 12)]
+    + [("dense_partition", n) for n in range(4, 9)]
+)
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
@@ -125,6 +134,14 @@ def test_basis_requires_n(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("n", [0, -3, 1, 25])
+def test_basis_rejects_qubit_counts_outside_range(capsys, n):
+    rc, out, err = run(capsys, "basis", "--n", str(n))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: qubit count must be in 2..24, got {n}\n"
+
+
 def test_oracle_check_agrees(capsys):
     rc, out, _ = run(
         capsys, "oracle-check", "--n", "2", "--count", "10", "--seed", "4", "--format", "json"
@@ -148,14 +165,13 @@ def test_bench_emits_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == BENCH_CSV_HEADER
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 7 + 5
-    analytic = [r for r in rows if r[0] == "analytic_classify"]
-    dense = [r for r in rows if r[0] == "dense_partition"]
-    assert [int(r[1]) for r in analytic] == list(range(8, 15))
-    assert [int(r[1]) for r in dense] == list(range(4, 9))
-    for r in rows:
-        assert int(r[2]) >= 1
-        assert float(r[3]) > 0.0
+    # random states at n = 8..16, the tied worst cases (flat, dephased), the
+    # quantised case the scan cannot prune, and the dense route
+    assert [(r[0], int(r[1])) for r in rows] == BENCH_ROWS
+    for path, n, partitions, ms in rows:
+        expected = 1 if path == "dense_partition" else (1 << (int(n) - 1)) - 1
+        assert int(partitions) == expected
+        assert float(ms) > 0.0
 
 
 @pytest.mark.parametrize(
