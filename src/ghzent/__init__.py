@@ -31,7 +31,6 @@ from .state import (
     DenseOperator,
     GhzDiagonalState,
     dump_state,
-    extract_lambda,
     load_state,
     mix_with_white_noise,
     random_state,
@@ -74,7 +73,6 @@ __all__ = [
     "GhzDiagonalState",
     "DenseOperator",
     "to_dense",
-    "extract_lambda",
     "twirl_to_ghz_diagonal",
     "random_state",
     "mix_with_white_noise",

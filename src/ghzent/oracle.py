@@ -73,12 +73,16 @@ def partial_transpose(rho: DenseOperator, alpha: SubsetMask) -> DenseOperator:
     return DenseOperator(swapped.reshape(rho.dim, rho.dim), n)
 
 
+def _check_dimension(dim: int, tolerances: OracleTolerances) -> None:
+    if dim > tolerances.dimension_cap:
+        raise ValueError(f"dimension {dim} exceeds cap {tolerances.dimension_cap}")
+
+
 def _checked_symmetric(m: DenseOperator | np.ndarray, tolerances: OracleTolerances) -> np.ndarray:
     mat = m.matrix if isinstance(m, DenseOperator) else np.asarray(m, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] > tolerances.dimension_cap:
-        raise ValueError(f"dimension {mat.shape[0]} exceeds cap {tolerances.dimension_cap}")
+    _check_dimension(mat.shape[0], tolerances)
     if not np.array_equal(mat, mat.T):
         raise ValueError("matrix is not symmetric")
     return mat
@@ -121,10 +125,14 @@ def is_ppt_dense(
     if partition.n != state.n:
         raise ValueError(f"mixed qubit counts {partition.n} and {state.n}")
     pt = partial_transpose(to_dense(state), partition.alpha1)
-    # Cholesky reads one triangle only, so symmetry is checked first.
-    mat = _checked_symmetric(pt, tolerances)
+    _check_dimension(pt.dim, tolerances)
+    # Cholesky reads one triangle only.  The operator partial_transpose just
+    # built checked its matrix for exact symmetry, and nothing else holds
+    # that fresh array, so it can take the shift in place.
+    mat = pt.matrix
+    mat.flat[:: pt.dim + 1] += tolerances.psd_tol
     try:
-        np.linalg.cholesky(mat + tolerances.psd_tol * np.eye(pt.dim))
+        np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         return False
     return True

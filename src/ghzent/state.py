@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _INV_SQRT2, ghz_vector
+from .basis import _INV_SQRT2
 from .subsets import (
     MAX_QUBITS,
     SubsetMask,
@@ -51,10 +51,11 @@ class GhzDiagonalState:
     """Weights of a GHZ-projector mixture, one pair per canonical class.
 
     ``lambda_plus[k]`` and ``lambda_minus[k]`` weight the +/- vectors of the
-    canonical class whose basis index is ``k``.  Instances are immutable.
+    canonical class whose basis index is ``k``.  Instances are immutable,
+    so the dense matrix, once built by :func:`to_dense`, is kept here.
     """
 
-    __slots__ = ("_n", "_lambda_plus", "_lambda_minus")
+    __slots__ = ("_n", "_lambda_plus", "_lambda_minus", "_dense")
 
     def __init__(self, n: int, lambda_plus, lambda_minus):
         _check_qubit_count(n)
@@ -66,6 +67,7 @@ class GhzDiagonalState:
         self._n = n
         self._lambda_plus = lp
         self._lambda_minus = lm
+        self._dense = None
 
     @property
     def n(self) -> int:
@@ -153,10 +155,6 @@ class DenseOperator:
     def dim(self) -> int:
         return 1 << self.n
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
 
 def _dense_from_weights(n: int, lambda_plus: np.ndarray, lambda_minus: np.ndarray) -> np.ndarray:
     dim = 1 << n
@@ -173,22 +171,20 @@ def _dense_from_weights(n: int, lambda_plus: np.ndarray, lambda_minus: np.ndarra
 
 
 def to_dense(state: GhzDiagonalState) -> DenseOperator:
-    """Dense matrix of the state: nonzero only on diagonal and anti-diagonal."""
-    if state.n > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense path capped at {MAX_DENSE_QUBITS} qubits, got n={state.n}")
-    return DenseOperator(_dense_from_weights(state.n, state.lambda_plus, state.lambda_minus), state.n)
+    """Dense matrix of the state: nonzero only on diagonal and anti-diagonal.
 
-
-def extract_lambda(rho: DenseOperator, beta: SubsetMask, sign: int) -> float:
-    """Quadratic form of the operator on a GHZ basis vector.
-
-    For GHZ-diagonal inputs this recovers the stored weight of the class.
+    Built on the first call and kept on the state, so every later call
+    returns the same operator.  Its matrix is read-only: it is shared by
+    every caller, and the state it depicts never changes.
     """
-    if beta.n != rho.n:
-        raise ValueError(f"mixed qubit counts {beta.n} and {rho.n}")
-    (i, a), (j, b) = ghz_vector(beta, sign).entries
-    m = rho.matrix
-    return float(a * a * m[i, i] + b * b * m[j, j] + 2.0 * a * b * m[i, j])
+    dense = state._dense
+    if dense is None:
+        if state.n > MAX_DENSE_QUBITS:
+            raise ValueError(f"dense path capped at {MAX_DENSE_QUBITS} qubits, got n={state.n}")
+        m = _dense_from_weights(state.n, state.lambda_plus, state.lambda_minus)
+        m.flags.writeable = False
+        dense = state._dense = DenseOperator(m, state.n)
+    return dense
 
 
 def twirl_to_ghz_diagonal(rho: DenseOperator, strict: bool = False) -> tuple[GhzDiagonalState, float]:
@@ -209,8 +205,9 @@ def twirl_to_ghz_diagonal(rho: DenseOperator, strict: bool = False) -> tuple[Ghz
         low = eigenvalues_symmetric(rho).min_eigenvalue
         if low < -DEFAULT_ORACLE.psd_tol:
             raise ValueError(f"input operator is not positive: min eigenvalue {low}")
-    # extract_lambda's quadratic form for every class at once: class k's
-    # vectors sit on index k and its complement, amplitudes a and +-a.
+    # The quadratic form <v|rho|v> on both GHZ vectors of every class at
+    # once: class k's vectors sit on index k and its complement, with
+    # amplitudes a and +-a.
     k = np.arange(1 << (n - 1))
     kc = k ^ ((1 << n) - 1)
     m = rho.matrix

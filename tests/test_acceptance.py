@@ -28,7 +28,6 @@ from ghzent.oracle import (
 from ghzent.state import (
     DenseOperator,
     GhzDiagonalState,
-    extract_lambda,
     mix_with_white_noise,
     random_state,
     to_dense,
@@ -40,6 +39,7 @@ from ghzent.subsets import (
 )
 from test_basis import phi_vector
 from test_cli import BENCH_ROWS
+from test_state import extract_lambda
 
 
 def criterion(num, desc):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import ghzent.state
 from ghzent.analytic import COEFFICIENT_TOL, classify
 from ghzent.oracle import (
     DEFAULT_ORACLE,
@@ -67,7 +68,7 @@ def test_partial_transpose_preserves_trace_and_symmetry():
     rho = random_symmetric(rng, 4)
     alpha = SubsetMask.from_qubits([1, 3], 4)
     pt = partial_transpose(rho, alpha)
-    assert pt.trace == pytest.approx(rho.trace, abs=1e-12)
+    assert np.trace(pt.matrix) == pytest.approx(np.trace(rho.matrix), abs=1e-12)
     assert np.array_equal(pt.matrix, pt.matrix.T)
 
 
@@ -236,3 +237,46 @@ def test_analytic_and_dense_agree_next_to_the_ghz_threshold(n, delta):
         report = classify(state)
         assert report.ppt.tolist() == [ppt] * len(partitions)
         assert [is_ppt_dense(state, part) for part in partitions] == [ppt] * len(partitions)
+
+
+def test_analytic_and_dense_agree_next_to_the_ghz_threshold_at_n9():
+    # n = 9 is above the default comparison cap, so it is lifted for this
+    # call; every 8th cut plus the last keeps the 512-dimensional Cholesky
+    # tests to a few dozen per state.
+    n = 9
+    tolerances = OracleTolerances(comparison_max_qubits=n)
+    partitions = enumerate_bipartitions(n)
+    picked = partitions[::8] + [partitions[-1]]
+    p_star = (1 << n) / ((1 << n) + 2)
+    for p, ppt in ((p_star - 3e-12, False), (p_star + 3e-12, True)):
+        state = ghz_at(n, p)
+        assert classify(state).ppt.tolist() == [ppt] * len(partitions)
+        assert [is_ppt_dense(state, part, tolerances) for part in picked] == [ppt] * len(picked)
+
+
+def test_dense_matrix_is_built_once_per_state(monkeypatch):
+    build = ghzent.state._dense_from_weights
+    builds = []
+
+    def counting_build(*args):
+        builds.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(ghzent.state, "_dense_from_weights", counting_build)
+    state = random_state(7, 31)
+    partitions = enumerate_bipartitions(7)
+    assert len(partitions) == 63
+    verdicts = [is_ppt_dense(state, part) for part in partitions]
+    assert verdicts == classify(state).ppt.tolist()
+    assert builds == [7]
+
+    rho = to_dense(state)
+    assert rho is to_dense(state)
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1.0
+    # the in-place shift of every Cholesky test landed on a copy
+    assert np.array_equal(rho.matrix, build(7, state.lambda_plus, state.lambda_minus))
+
+    noisy = mix_with_white_noise(state, 0.3)
+    assert to_dense(noisy) is not rho
+    assert builds == [7, 7]
