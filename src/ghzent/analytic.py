@@ -364,14 +364,18 @@ def _settle_ties(lp, lm, alpha2, row, cuts, top) -> np.ndarray:
 
 
 def partition_thresholds(state: GhzDiagonalState) -> np.ndarray:
-    """White-noise threshold of every bipartition, in enumeration order.
+    """White-noise threshold of every bipartition, in enumeration order."""
+    return _thresholds(partition_minima(state)[0], state.n)
+
+
+def _thresholds(minima: np.ndarray, n: int) -> np.ndarray:
+    """White-noise thresholds of cuts with minimum coefficients ``minima``.
 
     Every coefficient is affine in the mixing probability and equals 2/2^n
     at full depolarization, so a cut with minimum M < 0 turns PPT at
     -M / (2/2^n - M), clamped to [0, 1]; cuts already PPT have threshold 0.
     """
-    minima = partition_minima(state)[0]
-    uniform = 2.0 / (1 << state.n)
+    uniform = 2.0 / (1 << n)
     neg = np.minimum(minima, 0.0)
     return np.where(minima < 0.0, np.clip(-neg / (uniform - neg), 0.0, 1.0), 0.0)
 
@@ -386,18 +390,11 @@ def classify(state: GhzDiagonalState, tol: float = COEFFICIENT_TOL) -> Classific
 def noise_threshold(state: GhzDiagonalState, partition: Bipartition) -> float:
     """Smallest white-noise level at which the partition turns PPT.
 
-    Every coefficient is affine in the mixing probability and equals
-    2/2^n at full depolarization, so the exact threshold is the largest
-    root over the negative coefficients, clamped to [0, 1].
+    The value :func:`partition_thresholds` gives this cut, read off the
+    cut's own minimum coefficient.
     """
-    _check_compatible(state, partition)
-    coeffs = np.concatenate(coefficient_arrays(state, partition))
-    negative = coeffs[coeffs < 0.0]
-    if negative.size == 0:
-        return 0.0
-    uniform = 2.0 / (1 << state.n)
-    roots = -negative / (uniform - negative)
-    return float(min(max(float(roots.max()), 0.0), 1.0))
+    minimum = min(c.min() for c in coefficient_arrays(state, partition))
+    return float(_thresholds(minimum, state.n))
 
 
 def full_entanglement_threshold(state: GhzDiagonalState) -> float:

@@ -33,7 +33,6 @@ from .analytic import (  # noqa: F401
     partition_thresholds,
 )
 from .oracle import (
-    DEFAULT_ORACLE,
     is_ppt_dense,
     pt_spectrum_vs_coefficients,
     eigenvalues_symmetric,
@@ -61,6 +60,10 @@ EXIT_NOT_FULL_ENTANGLED = 1
 EXIT_INPUT_ERROR = 2
 
 BENCH_CSV_HEADER = "path,n,partitions,median_ms"
+
+# The largest n oracle-check takes: it runs the eigensolver on every cut of
+# every state it draws.
+_ORACLE_CHECK_MAX_QUBITS = 8
 
 
 def _read_input(source: str) -> str:
@@ -134,10 +137,8 @@ def cmd_oracle_check(args) -> int:
     n = args.n
     if n is None:
         raise ValueError("missing --n")
-    if not 2 <= n <= DEFAULT_ORACLE.comparison_max_qubits:
-        raise ValueError(
-            f"oracle check supports 2..{DEFAULT_ORACLE.comparison_max_qubits} qubits, got n={n}"
-        )
+    if not 2 <= n <= _ORACLE_CHECK_MAX_QUBITS:
+        raise ValueError(f"oracle check supports 2..{_ORACLE_CHECK_MAX_QUBITS} qubits, got n={n}")
     partitions = enumerate_bipartitions(n)
     mismatches = 0
     worst_margin = float("inf")
@@ -294,7 +295,54 @@ def cmd_bench(args) -> int:
     return 0
 
 
+# Every flag of the CLI; each subcommand declares the ones it reads, so a
+# flag it would ignore is a usage error.
+_FLAGS = {
+    "n": {"type": int, "help": "qubit count"},
+    "seed": {"type": int, "default": 0, "help": "random seed"},
+    "count": {"type": int, "help": "repetitions / sample count"},
+    "input": {"type": str, "help": "state JSON: path, inline, or '-'"},
+    "format": {"choices": ("json", "table"), "default": "table", "help": "output format"},
+    "tol": {
+        "type": float,
+        "default": COEFFICIENT_TOL,
+        "help": "PPT tolerance on block coefficients (PT eigenvalues: half of it)",
+    },
+}
+
+
+# name, handler, help, the flags it reads, and its own defaults
+_COMMANDS = (
+    ("classify", cmd_classify, "classify a state from JSON", ("input", "format", "tol"), {}),
+    (
+        "oracle-check",
+        cmd_oracle_check,
+        "compare analytic and dense verdicts on random states",
+        ("n", "seed", "count", "format", "tol"),
+        {"count": 200},
+    ),
+    (
+        "random",
+        cmd_random,
+        "generate random GHZ-diagonal states",
+        ("n", "seed", "count", "format"),
+        {"count": 1},
+    ),
+    ("threshold", cmd_threshold, "white-noise thresholds per partition", ("input", "format"), {}),
+    ("basis", cmd_basis, "print the GHZ basis for n qubits", ("n", "format"), {}),
+    (
+        "bench",
+        cmd_bench,
+        "time the analytic and dense paths (CSV)",
+        ("seed", "count"),
+        {"count": 3},
+    ),
+)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ghzent",
         description=(
@@ -306,55 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
+    for name, fn, help_text, flags, defaults in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int, default=None, help="qubit count")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--count", type=int, default=None, help="repetitions / sample count")
-        p.add_argument("--input", type=str, default=None, help="state JSON: path, inline, or '-'")
-        p.add_argument(
-            "--format", choices=("json", "table"), default="table", help="output format"
-        )
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=COEFFICIENT_TOL,
-            help="PPT tolerance on block coefficients (PT eigenvalues: half of it)",
-        )
-        p.set_defaults(fn=fn)
-        return p
-
-    add("classify", cmd_classify, "classify a state from JSON")
-    add("oracle-check", cmd_oracle_check, "compare analytic and dense verdicts on random states")
-    add("random", cmd_random, "generate random GHZ-diagonal states")
-    add("threshold", cmd_threshold, "white-noise thresholds per partition")
-    add("basis", cmd_basis, "print the GHZ basis for n qubits")
-    add("bench", cmd_bench, "time the analytic and dense paths (CSV)")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(fn=fn, **defaults)
     return parser
 
 
-_DEFAULT_COUNTS = {
-    "oracle-check": 200,
-    "random": 1,
-    "bench": 3,
-}
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    if args.count is None:
-        args.count = _DEFAULT_COUNTS.get(args.command, 1)
-    if args.count < 1:
+    args = build_parser().parse_args(argv)
+    if "count" in args and args.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+    if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0.0):
         print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

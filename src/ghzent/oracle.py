@@ -19,7 +19,7 @@ from .subsets import Bipartition, SubsetMask
 
 @dataclass(frozen=True)
 class OracleTolerances:
-    """All oracle-side tolerances and caps in one place.
+    """The oracle's PSD tolerance.
 
     ``psd_tol`` is the analytic ``COEFFICIENT_TOL`` in eigenvalue units:
     partial-transpose eigenvalues are half the block coefficients, so both
@@ -29,8 +29,6 @@ class OracleTolerances:
     """
 
     psd_tol: float = COEFFICIENT_TOL / 2
-    dimension_cap: int = 1024
-    comparison_max_qubits: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.psd_tol < float("inf"):
@@ -73,36 +71,21 @@ def partial_transpose(rho: DenseOperator, alpha: SubsetMask) -> DenseOperator:
     return DenseOperator(swapped.reshape(rho.dim, rho.dim), n)
 
 
-def _check_dimension(dim: int, tolerances: OracleTolerances) -> None:
-    if dim > tolerances.dimension_cap:
-        raise ValueError(f"dimension {dim} exceeds cap {tolerances.dimension_cap}")
-
-
-def _checked_symmetric(m: DenseOperator | np.ndarray, tolerances: OracleTolerances) -> np.ndarray:
-    mat = m.matrix if isinstance(m, DenseOperator) else np.asarray(m, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    _check_dimension(mat.shape[0], tolerances)
-    if not np.array_equal(mat, mat.T):
-        raise ValueError("matrix is not symmetric")
-    return mat
-
-
-def eigenvalues_symmetric(
-    m: DenseOperator | np.ndarray, tolerances: OracleTolerances = DEFAULT_ORACLE
-) -> SpectrumResult:
+def eigenvalues_symmetric(m: DenseOperator | np.ndarray) -> SpectrumResult:
     """Full real spectrum of a symmetric matrix, sorted ascending.
 
     Delegates to LAPACK's symmetric eigensolver and reports the worst
     residual max-norm of M v - e v so callers can see the achieved
-    accuracy.  Non-convergence raises instead of looping.
+    accuracy.  Non-convergence raises instead of looping.  Every input,
+    a ``DenseOperator`` too, is checked as ``DenseOperator.from_matrix``
+    checks it: an operator's matrix can still be written after it is built.
     """
-    mat = _checked_symmetric(m, tolerances)
+    mat = DenseOperator.from_matrix(m.matrix if isinstance(m, DenseOperator) else m).matrix
     try:
         evals, vecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
-    residual = float(np.max(np.abs(mat @ vecs - vecs * evals))) if mat.size else 0.0
+    residual = float(np.max(np.abs(mat @ vecs - vecs * evals)))
     evals.flags.writeable = False
     return SpectrumResult(evals, float(evals[0]), residual)
 
@@ -118,14 +101,7 @@ def is_ppt_dense(
     is positive semidefinite, which a Cholesky factorization decides
     without computing any eigenvalue: it succeeds or raises.
     """
-    if state.n > tolerances.comparison_max_qubits:
-        raise ValueError(
-            f"dense oracle capped at {tolerances.comparison_max_qubits} qubits, got n={state.n}"
-        )
-    if partition.n != state.n:
-        raise ValueError(f"mixed qubit counts {partition.n} and {state.n}")
     pt = partial_transpose(to_dense(state), partition.alpha1)
-    _check_dimension(pt.dim, tolerances)
     # Cholesky reads one triangle only.  The operator partial_transpose just
     # built checked its matrix for exact symmetry, and nothing else holds
     # that fresh array, so it can take the shift in place.
@@ -145,10 +121,6 @@ def pt_spectrum_vs_coefficients(state: GhzDiagonalState, partition: Bipartition)
     class pair, divided by two, form the complete partial-transpose
     spectrum; this returns the worst mismatch after sorting both sides.
     """
-    if state.n > DEFAULT_ORACLE.comparison_max_qubits:
-        raise ValueError(
-            f"dense oracle capped at {DEFAULT_ORACLE.comparison_max_qubits} qubits, got n={state.n}"
-        )
     b, c, d, e = coefficient_arrays(state, partition)
     k = np.arange(b.size)
     rep = k < (k ^ partition.alpha2.bits)

@@ -140,15 +140,13 @@ class DenseOperator:
             raise ValueError(f"matrix not exactly symmetric, worst element ({i},{j})")
 
     @classmethod
-    def from_matrix(cls, matrix, symmetrize: bool = False) -> "DenseOperator":
+    def from_matrix(cls, matrix) -> "DenseOperator":
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         n = int(m.shape[0]).bit_length() - 1
         if (1 << n) != m.shape[0]:
             raise ValueError(f"dimension {m.shape[0]} is not a power of two")
-        if symmetrize:
-            m = (m + m.T) / 2.0
         return cls(m, n)
 
     @property
@@ -187,24 +185,17 @@ def to_dense(state: GhzDiagonalState) -> DenseOperator:
     return dense
 
 
-def twirl_to_ghz_diagonal(rho: DenseOperator, strict: bool = False) -> tuple[GhzDiagonalState, float]:
+def twirl_to_ghz_diagonal(rho: DenseOperator) -> tuple[GhzDiagonalState, float]:
     """Project an operator onto the GHZ-diagonal family.
 
     Keeps the diagonal GHZ-basis weights and renormalizes them to the
     canonical convention.  Returns the state together with the Frobenius
     norm of the discarded remainder, which is 0 exactly when the input was
-    already GHZ-diagonal.  Positivity of the input is the caller's problem
-    unless ``strict`` is set, which runs the dense eigensolver.
+    already GHZ-diagonal.  Positivity of the input is the caller's problem.
     """
     n = rho.n
     if n < 2:
         raise ValueError("a GHZ-diagonal state needs at least 2 qubits")
-    if strict:
-        from .oracle import DEFAULT_ORACLE, eigenvalues_symmetric
-
-        low = eigenvalues_symmetric(rho).min_eigenvalue
-        if low < -DEFAULT_ORACLE.psd_tol:
-            raise ValueError(f"input operator is not positive: min eigenvalue {low}")
     # The quadratic form <v|rho|v> on both GHZ vectors of every class at
     # once: class k's vectors sit on index k and its complement, with
     # amplitudes a and +-a.

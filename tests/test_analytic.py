@@ -528,5 +528,5 @@ def test_classify_settles_tied_states_at_n14_quickly(state):
 def test_thresholds_match_per_cut_noise_threshold(state):
     per_cut = np.array([noise_threshold(state, p) for p in enumerate_bipartitions(state.n)])
     thresholds = partition_thresholds(state)
-    assert np.max(np.abs(thresholds - per_cut)) <= 2.3e-16
-    assert abs(full_entanglement_threshold(state) - per_cut.min()) <= 2.3e-16
+    assert np.array_equal(thresholds, per_cut)
+    assert full_entanglement_threshold(state) == per_cut.min()

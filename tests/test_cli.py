@@ -1,10 +1,11 @@
 import io
 import json
+import re
 
 import pytest
 
 from ghzent.analytic import classify, partition_thresholds
-from ghzent.cli import BENCH_CSV_HEADER, main
+from ghzent.cli import BENCH_CSV_HEADER, build_parser, main
 from ghzent.state import (
     GhzDiagonalState,
     load_state,
@@ -207,6 +208,67 @@ def test_count_must_be_positive(capsys):
     rc, _, err = run(capsys, "random", "--n", "3", "--count", "0")
     assert rc == 2
     assert "count" in err
+
+
+# A valid value for every CLI flag, and the flags each subcommand reads.
+FLAG_VALUES = {
+    "n": "3",
+    "seed": "1",
+    "count": "2",
+    "input": PURE_GHZ_3,
+    "format": "json",
+    "tol": "0.5",
+}
+FLAGS_READ = {
+    "classify": ("input", "format", "tol"),
+    "oracle-check": ("n", "seed", "count", "format", "tol"),
+    "random": ("n", "seed", "count", "format"),
+    "threshold": ("input", "format"),
+    "basis": ("n", "format"),
+    "bench": ("seed", "count"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command, read in FLAGS_READ.items()
+        for flag in FLAG_VALUES
+        if flag not in read
+    ],
+)
+def test_flag_a_subcommand_does_not_read_exits_two(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{flag}", FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: unrecognized arguments: --{flag} " in err
+
+
+@pytest.mark.parametrize("command", list(FLAGS_READ))
+def test_help_lists_exactly_the_flags_read(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--([a-z]+)", capsys.readouterr().out))
+    assert listed == {"help", *FLAGS_READ[command]}
+
+
+def test_default_counts():
+    defaults = {
+        command: vars(build_parser().parse_args([command])).get("count")
+        for command in FLAGS_READ
+    }
+    assert defaults == {
+        "classify": None,
+        "oracle-check": 200,
+        "random": 1,
+        "threshold": None,
+        "basis": None,
+        "bench": 3,
+    }
 
 
 def test_unknown_command_exits_two(capsys):

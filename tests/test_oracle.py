@@ -97,14 +97,21 @@ def test_eigenvalues_match_library_solver():
 
 
 def test_eigenvalues_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square"):
         eigenvalues_symmetric(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="power of two"):
+        eigenvalues_symmetric(np.eye(3))
     asym = np.zeros((4, 4))
     asym[0, 1] = 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         eigenvalues_symmetric(asym)
-    with pytest.raises(ValueError):
-        eigenvalues_symmetric(np.zeros((2048, 2048)))  # above the dimension cap
+    with pytest.raises(ValueError, match="1..10 qubits, got 11"):
+        eigenvalues_symmetric(np.zeros((2048, 2048)))  # above the dense cap
+    # an operator checked when it was built is checked again: its matrix is writable
+    rho = DenseOperator.from_matrix(np.eye(4))
+    rho.matrix[0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        eigenvalues_symmetric(rho)
 
 
 def test_spectrum_result_read_only():
@@ -126,9 +133,11 @@ def test_pure_ghz_is_npt_everywhere():
 
 
 def test_dense_comparison_cap():
-    s = random_state(9, 0)
-    with pytest.raises(ValueError):
-        is_ppt_dense(s, enumerate_bipartitions(9)[0])
+    s = random_state(11, 0)
+    with pytest.raises(ValueError, match="capped at 10 qubits, got n=11"):
+        is_ppt_dense(s, enumerate_bipartitions(11)[0])
+    with pytest.raises(ValueError, match="mixed qubit counts 4 and 3"):
+        is_ppt_dense(random_state(3, 0), enumerate_bipartitions(4)[0])
 
 
 def test_custom_tolerances_change_the_call():
@@ -240,18 +249,16 @@ def test_analytic_and_dense_agree_next_to_the_ghz_threshold(n, delta):
 
 
 def test_analytic_and_dense_agree_next_to_the_ghz_threshold_at_n9():
-    # n = 9 is above the default comparison cap, so it is lifted for this
-    # call; every 8th cut plus the last keeps the 512-dimensional Cholesky
-    # tests to a few dozen per state.
+    # Every 8th cut plus the last keeps the 512-dimensional Cholesky tests
+    # to a few dozen per state.
     n = 9
-    tolerances = OracleTolerances(comparison_max_qubits=n)
     partitions = enumerate_bipartitions(n)
     picked = partitions[::8] + [partitions[-1]]
     p_star = (1 << n) / ((1 << n) + 2)
     for p, ppt in ((p_star - 3e-12, False), (p_star + 3e-12, True)):
         state = ghz_at(n, p)
         assert classify(state).ppt.tolist() == [ppt] * len(partitions)
-        assert [is_ppt_dense(state, part, tolerances) for part in picked] == [ppt] * len(picked)
+        assert [is_ppt_dense(state, part) for part in picked] == [ppt] * len(picked)
 
 
 def test_dense_matrix_is_built_once_per_state(monkeypatch):
