@@ -19,13 +19,7 @@ from .subsets import (
     MAX_QUBITS,
     Bipartition,
     SubsetMask,
-    canonical_beta,
     enumerate_bipartitions,
-    enumerate_canonical_betas,
-)
-from .basis import (
-    SparseStateVector,
-    ghz_vector,
 )
 from .state import (
     DenseOperator,
@@ -65,11 +59,7 @@ __all__ = [
     "MAX_QUBITS",
     "SubsetMask",
     "Bipartition",
-    "canonical_beta",
-    "enumerate_canonical_betas",
     "enumerate_bipartitions",
-    "SparseStateVector",
-    "ghz_vector",
     "GhzDiagonalState",
     "DenseOperator",
     "to_dense",

@@ -15,6 +15,7 @@ verdict, and the dense oracle arbitrates actual spectra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,12 +85,6 @@ class ClassificationReport:
             for partition, ppt, k, c, value in zip(enumerate_bipartitions(n), *self.columns())
         )
 
-    @property
-    def ppt_partitions(self) -> tuple[Bipartition, ...]:
-        n = self.n
-        top = 1 << (n - 1)
-        return tuple(Bipartition(SubsetMask(top | i, n)) for i in np.flatnonzero(self.ppt).tolist())
-
     def columns(self) -> tuple[list, list, list, list]:
         """``ppt``, ``classes``, ``codes`` and ``values`` as lists of Python scalars."""
         return self.ppt.tolist(), self.classes.tolist(), self.codes.tolist(), self.values.tolist()
@@ -111,6 +106,12 @@ class ClassificationReport:
                 )
             ],
         }
+
+
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that would make every verdict meaningless."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def _check_compatible(state: GhzDiagonalState, partition: Bipartition) -> None:
@@ -146,8 +147,10 @@ def is_ppt(
     True iff every block coefficient is nonnegative (within ``tol``),
     which certifies the state biseparable across the partition.  Ties on
     the worst value resolve to the smallest class index, then B, C, D, E
-    order, so reports are deterministic.
+    order, so reports are deterministic.  ``tol`` must be a finite number
+    >= 0; any other value raises ``ValueError``.
     """
+    _check_tol(tol)
     b, c, d, e = coefficient_arrays(state, partition)
     table = np.stack([b, c, d, e], axis=1)
     flat = int(np.argmin(table))
@@ -381,7 +384,11 @@ def _thresholds(minima: np.ndarray, n: int) -> np.ndarray:
 
 
 def classify(state: GhzDiagonalState, tol: float = COEFFICIENT_TOL) -> ClassificationReport:
-    """Scan every bipartition; fully entangled iff none is PPT."""
+    """Scan every bipartition; fully entangled iff none is PPT.
+
+    ``tol`` is held to the contract of :func:`is_ppt`.
+    """
+    _check_tol(tol)
     values, classes, codes = partition_minima(state)
     ppt = values >= -tol
     return ClassificationReport(state.n, values, classes, codes, ppt, not ppt.any())

@@ -38,8 +38,8 @@ from .oracle import (
     eigenvalues_symmetric,
     partial_transpose,
 )
-from .basis import ghz_vector
 from .state import (
+    _INV_SQRT2,
     GhzDiagonalState,
     _check_qubit_count,
     dump_state,
@@ -52,7 +52,6 @@ from .subsets import (
     bipartition_bit_strings,
     bit_strings,
     enumerate_bipartitions,
-    enumerate_canonical_betas,
 )
 
 EXIT_FULL_ENTANGLED = 0
@@ -78,12 +77,6 @@ def _read_input(source: str) -> str:
         raise ValueError(f"cannot read input file: {exc}") from None
 
 
-def _load_state_arg(args) -> GhzDiagonalState:
-    if not args.input:
-        raise ValueError("missing --input (path, inline JSON, or '-' for stdin)")
-    return load_state(_read_input(args.input))
-
-
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -104,7 +97,7 @@ def _json_document(fields: str, rows: list[str]) -> str:
 
 
 def cmd_classify(args) -> int:
-    state = _load_state_arg(args)
+    state = load_state(_read_input(args.input))
     report = classify(state, tol=args.tol)
     n = report.n
     if args.format == "json":
@@ -135,8 +128,6 @@ def cmd_classify(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     n = args.n
-    if n is None:
-        raise ValueError("missing --n")
     if not 2 <= n <= _ORACLE_CHECK_MAX_QUBITS:
         raise ValueError(f"oracle check supports 2..{_ORACLE_CHECK_MAX_QUBITS} qubits, got n={n}")
     partitions = enumerate_bipartitions(n)
@@ -185,8 +176,6 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_random(args) -> int:
-    if args.n is None:
-        raise ValueError("missing --n")
     states = [random_state(args.n, args.seed + i) for i in range(args.count)]
     if args.format == "json":
         if len(states) == 1:
@@ -200,7 +189,7 @@ def cmd_random(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    state = _load_state_arg(args)
+    state = load_state(_read_input(args.input))
     thresholds = partition_thresholds(state)
     overall = float(thresholds.min())
     pure = GhzDiagonalState.pure_ghz(state.n)
@@ -229,21 +218,21 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    if args.n is None:
-        raise ValueError("missing --n")
-    _check_qubit_count(args.n)
-    rows = []
-    for beta in enumerate_canonical_betas(args.n):
-        for sign, label in ((+1, "+"), (-1, "-")):
-            vec = ghz_vector(beta, sign)
-            rows.append(
-                {
-                    "beta": beta.bit_string(),
-                    "sign": label,
-                    "support": list(vec.support),
-                    "amplitudes": [amp for _, amp in vec.entries],
-                }
-            )
+    n = args.n
+    _check_qubit_count(n)
+    # Class k's two GHZ vectors sit on index k and its complement, +1/sqrt(2)
+    # on k (the smaller index) and the sign on the complement.
+    full = (1 << n) - 1
+    rows = [
+        {
+            "beta": format(k, f"0{n}b"),
+            "sign": label,
+            "support": [k, k ^ full],
+            "amplitudes": [_INV_SQRT2, sign * _INV_SQRT2],
+        }
+        for k in range(1 << (n - 1))
+        for sign, label in ((+1, "+"), (-1, "-"))
+    ]
     if args.format == "json":
         _print_json(rows)
     else:
@@ -277,19 +266,18 @@ def _bench_quantised(n: int, seed: int) -> GhzDiagonalState:
 
 
 def cmd_bench(args) -> int:
-    reps = max(args.count, 1)
     lines = [BENCH_CSV_HEADER]
     cases = [("analytic_classify", n, random_state(n, args.seed)) for n in range(8, 17)]
     cases += [("analytic_classify_flat", n, GhzDiagonalState.maximally_mixed(n)) for n in (12, 14, 16)]
     cases += [("analytic_classify_dephased", n, _bench_dephased(n, args.seed)) for n in (12, 14, 16)]
     cases.append(("analytic_classify_quantised", 12, _bench_quantised(12, args.seed)))
     for path, n, state in cases:
-        ms = _median_ms(lambda: classify(state), reps)
+        ms = _median_ms(lambda: classify(state), args.count)
         lines.append(f"{path},{n},{(1 << (n - 1)) - 1},{ms:.3f}")
     for n in range(4, 9):
         state = random_state(n, args.seed)
         partition = enumerate_bipartitions(n)[0]
-        ms = _median_ms(lambda: is_ppt_dense(state, partition), reps)
+        ms = _median_ms(lambda: is_ppt_dense(state, partition), args.count)
         lines.append(f"dense_partition,{n},1,{ms:.3f}")
     print("\n".join(lines))
     return 0
@@ -298,10 +286,10 @@ def cmd_bench(args) -> int:
 # Every flag of the CLI; each subcommand declares the ones it reads, so a
 # flag it would ignore is a usage error.
 _FLAGS = {
-    "n": {"type": int, "help": "qubit count"},
+    "n": {"type": int, "required": True, "help": "qubit count"},
     "seed": {"type": int, "default": 0, "help": "random seed"},
     "count": {"type": int, "help": "repetitions / sample count"},
-    "input": {"type": str, "help": "state JSON: path, inline, or '-'"},
+    "input": {"type": str, "required": True, "help": "state JSON: path, inline, or '-'"},
     "format": {"choices": ("json", "table"), "default": "table", "help": "output format"},
     "tol": {
         "type": float,

@@ -9,20 +9,20 @@ complementary subset, which share the same projectors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _INV_SQRT2
-from .subsets import (
-    MAX_QUBITS,
-    SubsetMask,
-    canonical_beta,
-)
+from .subsets import MAX_QUBITS
 
 NORMALIZATION_TOL = 1e-10
 WEIGHT_CLAMP = 1e-12
 MAX_DENSE_QUBITS = 10
+
+# The magnitude of both amplitudes of a GHZ vector; `basis` prints it, and
+# math.sqrt(0.5) differs from it in the last bit.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def _check_qubit_count(n: int) -> None:
@@ -84,14 +84,6 @@ class GhzDiagonalState:
     @property
     def lambda_minus(self) -> np.ndarray:
         return self._lambda_minus
-
-    def weight(self, beta: SubsetMask, sign: int) -> float:
-        """Stored weight of the class containing ``beta``."""
-        if beta.n != self._n:
-            raise ValueError(f"mixed qubit counts {beta.n} and {self._n}")
-        k = canonical_beta(beta).bits
-        arr = self._lambda_plus if sign == 1 else self._lambda_minus
-        return float(arr[k])
 
     @classmethod
     def pure_ghz(cls, n: int) -> "GhzDiagonalState":
@@ -245,11 +237,9 @@ def state_to_json_dict(state: GhzDiagonalState) -> dict:
 
 def _beta_error(beta, pos: int, n: int) -> ValueError:
     """The error for a ``beta`` that is not an n-digit bit string."""
-    try:
-        digits = SubsetMask.from_bit_string(beta).n
-    except (TypeError, ValueError):
+    if not (isinstance(beta, str) and beta and not beta.strip("01")):
         return ValueError(f"field 'weights[{pos}].beta' must be an n-digit bit string")
-    return ValueError(f"field 'weights[{pos}].beta' has {digits} digits, expected {n}")
+    return ValueError(f"field 'weights[{pos}].beta' has {len(beta)} digits, expected {n}")
 
 
 def _json_number(value) -> float:

@@ -29,37 +29,8 @@ class SubsetMask:
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(f"mask {self.bits} out of range for n={self.n}")
 
-    @classmethod
-    def from_qubits(cls, qubits, n: int) -> "SubsetMask":
-        """Build a mask from an iterable of 1-based qubit numbers."""
-        bits = 0
-        for m in qubits:
-            if not 1 <= m <= n:
-                raise ValueError(f"qubit {m} out of range 1..{n}")
-            bits |= 1 << (n - m)
-        return cls(bits, n)
-
-    @classmethod
-    def from_bit_string(cls, s: str) -> "SubsetMask":
-        if not s or any(ch not in "01" for ch in s):
-            raise ValueError(f"bit string must be nonempty over {{0,1}}, got {s!r}")
-        return cls(int(s, 2), len(s))
-
-    @classmethod
-    def empty(cls, n: int) -> "SubsetMask":
-        return cls(0, n)
-
-    @classmethod
-    def full(cls, n: int) -> "SubsetMask":
-        return cls((1 << n) - 1, n)
-
     def complement(self) -> "SubsetMask":
         return SubsetMask(self.bits ^ ((1 << self.n) - 1), self.n)
-
-    def xor(self, other: "SubsetMask") -> "SubsetMask":
-        if other.n != self.n:
-            raise ValueError(f"mixed qubit counts {self.n} and {other.n}")
-        return SubsetMask(self.bits ^ other.bits, self.n)
 
     def contains(self, qubit: int) -> bool:
         if not 1 <= qubit <= self.n:
@@ -69,10 +40,6 @@ class SubsetMask:
     def qubits(self) -> tuple[int, ...]:
         """The contained qubits in increasing order."""
         return tuple(m for m in range(1, self.n + 1) if self.bits >> (self.n - m) & 1)
-
-    @property
-    def size(self) -> int:
-        return self.bits.bit_count()
 
     @property
     def is_empty(self) -> bool:
@@ -107,10 +74,6 @@ class Bipartition:
         if not a.contains(1):
             object.__setattr__(self, "alpha1", a.complement())
 
-    @classmethod
-    def from_qubits(cls, qubits, n: int) -> "Bipartition":
-        return cls(SubsetMask.from_qubits(qubits, n))
-
     @property
     def n(self) -> int:
         return self.alpha1.n
@@ -128,20 +91,6 @@ class Bipartition:
 
     def __repr__(self) -> str:
         return f"Bipartition({self.split_string()!r})"
-
-
-def canonical_beta(beta: SubsetMask) -> SubsetMask:
-    """The representative of {beta, complement} that excludes qubit 1.
-
-    A subset and its complement label the same pair of basis vectors, so
-    half the subsets suffice; the empty set is canonical.
-    """
-    return beta.complement() if beta.contains(1) else beta
-
-
-def enumerate_canonical_betas(n: int) -> list[SubsetMask]:
-    """All 2^(n-1) canonical subset classes, increasing by basis index."""
-    return [SubsetMask(k, n) for k in range(1 << (n - 1))]
 
 
 def enumerate_bipartitions(n: int) -> list[Bipartition]:

@@ -12,13 +12,13 @@ import time
 
 import numpy as np
 
+from ghz_reference import enumerate_canonical_betas, ghz_vector, phi_vector, weight, xor
 from ghzent.analytic import (
     classify,
     coefficient_arrays,
     full_entanglement_threshold,
     is_ppt,
 )
-from ghzent.basis import ghz_vector
 from ghzent.cli import BENCH_CSV_HEADER, main as cli_main
 from ghzent.oracle import (
     eigenvalues_symmetric,
@@ -32,12 +32,7 @@ from ghzent.state import (
     random_state,
     to_dense,
 )
-from ghzent.subsets import (
-    SubsetMask,
-    enumerate_bipartitions,
-    enumerate_canonical_betas,
-)
-from test_basis import phi_vector
+from ghzent.subsets import SubsetMask, enumerate_bipartitions
 from test_cli import BENCH_ROWS
 from test_state import extract_lambda
 
@@ -143,7 +138,7 @@ def test_basis_integrity():
             for beta in enumerate_canonical_betas(n):
                 for sign in (+1, -1):
                     phi = phi_vector(beta, sign, partition)
-                    psi = ghz_vector(beta.xor(partition.alpha2), sign)
+                    psi = ghz_vector(xor(beta, partition.alpha2), sign)
                     assert phi.entries == psi.entries
                     assert np.array_equal(phi.outer(), psi.outer())
 
@@ -158,7 +153,7 @@ def test_dense_round_trip():
         for beta in enumerate_canonical_betas(n):
             for sign in (+1, -1):
                 got = extract_lambda(rho, beta, sign)
-                assert abs(got - state.weight(beta, sign)) <= 1e-12
+                assert abs(got - weight(state, beta, sign)) <= 1e-12
     for _ in range(20):
         n = int(rng.integers(2, 7))
         a = rng.normal(size=(1 << n, 1 << n))
@@ -182,7 +177,7 @@ def test_pure_ghz_classification():
         assert len(report.partitions) == (1 << (n - 1)) - 1
         for verdict in report.partitions:
             assert not verdict.is_ppt
-            assert verdict.worst.beta == SubsetMask.empty(n)
+            assert verdict.worst.beta == SubsetMask(0, n)
             assert verdict.worst.coefficient == "E"
             assert verdict.worst.value == -1.0
 

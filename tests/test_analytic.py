@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghz_reference import canonical_beta, enumerate_canonical_betas, phi_vector, weight, xor
 from ghzent.analytic import (
     COEFFICIENT_NAMES,
     classify,
@@ -23,14 +24,7 @@ from ghzent.state import (
     random_state,
     to_dense,
 )
-from ghzent.subsets import (
-    Bipartition,
-    SubsetMask,
-    canonical_beta,
-    enumerate_bipartitions,
-    enumerate_canonical_betas,
-)
-from test_basis import phi_vector
+from ghzent.subsets import SubsetMask, enumerate_bipartitions
 
 
 # -- one block at a time: the per-class reference for the vectorized paths -----
@@ -72,8 +66,8 @@ def eta_pair(state, beta, partition):
 
 def block_coefficients(state, beta, partition):
     """The four signed combinations deciding one block's PPT status."""
-    lp = state.weight(beta, +1)
-    lm = state.weight(beta, -1)
+    lp = weight(state, beta, +1)
+    lm = weight(state, beta, -1)
     ep, em = eta_pair(state, beta, partition)
     return BlockCoefficients(
         lambda_plus=lp,
@@ -94,7 +88,7 @@ def bell_diagonal(lp0, lm0, lp1, lm1):
 def test_two_qubit_coefficients_frozen_example():
     s = bell_diagonal(0.5, 0.1, 0.3, 0.1)
     p = enumerate_bipartitions(2)[0]
-    co = block_coefficients(s, SubsetMask.empty(2), p)
+    co = block_coefficients(s, SubsetMask(0, 2), p)
     assert co.as_tuple() == pytest.approx((0.8, 0.4, 0.8, 0.0), abs=1e-15)
     # halved, these are exactly the partial transpose eigenvalues
     ev = eigenvalues_symmetric(partial_transpose(to_dense(s), p.alpha1)).eigenvalues
@@ -107,7 +101,7 @@ def test_two_qubit_coefficients_frozen_example():
 def test_pure_bell_state_coefficients():
     s = GhzDiagonalState.pure_ghz(2)
     p = enumerate_bipartitions(2)[0]
-    co = block_coefficients(s, SubsetMask.empty(2), p)
+    co = block_coefficients(s, SubsetMask(0, 2), p)
     assert co.as_tuple() == (1.0, 1.0, 1.0, -1.0)
     low = eigenvalues_symmetric(partial_transpose(to_dense(s), p.alpha1)).min_eigenvalue
     assert low == pytest.approx(-0.5, abs=1e-15)
@@ -116,7 +110,7 @@ def test_pure_bell_state_coefficients():
 def test_uniform_mixture_coefficients():
     s = GhzDiagonalState.maximally_mixed(2)
     p = enumerate_bipartitions(2)[0]
-    co = block_coefficients(s, SubsetMask.empty(2), p)
+    co = block_coefficients(s, SubsetMask(0, 2), p)
     assert co.as_tuple() == pytest.approx((0.5, 0.5, 0.5, 0.5), abs=1e-15)
 
 
@@ -164,7 +158,7 @@ def test_partner_class_permutes_coefficients():
         parts = enumerate_bipartitions(n)
         p = parts[int(rng.integers(0, len(parts)))]
         beta = SubsetMask(int(rng.integers(0, 1 << (n - 1))), n)
-        partner = beta.xor(p.alpha2)
+        partner = xor(beta, p.alpha2)
         a = block_coefficients(s, beta, p)
         b = block_coefficients(s, partner, p)
         assert (b.b, b.c, b.d, b.e) == pytest.approx(
@@ -177,7 +171,7 @@ def test_negative_coefficient_can_appear_in_c_or_d():
     # so no sign constraint holds for C or D individually
     s = GhzDiagonalState(2, [0.0, 1.0], [0.0, 0.0])
     p = enumerate_bipartitions(2)[0]
-    co = block_coefficients(s, SubsetMask.empty(2), p)
+    co = block_coefficients(s, SubsetMask(0, 2), p)
     assert co.as_tuple() == (1.0, -1.0, 1.0, 1.0)
     ppt, witness = is_ppt(s, p)
     assert not ppt
@@ -194,10 +188,10 @@ def test_eta_pair_same_through_either_group():
         parts = enumerate_bipartitions(n)
         p = parts[int(rng.integers(0, len(parts)))]
         beta = SubsetMask(int(rng.integers(0, 1 << (n - 1))), n)
-        via_alpha2 = beta.xor(p.alpha2)
-        via_alpha1 = beta.xor(p.alpha1)
+        via_alpha2 = xor(beta, p.alpha2)
+        via_alpha1 = xor(beta, p.alpha1)
         assert via_alpha1 == via_alpha2.complement()
-        assert eta_pair(s, beta, p) == (s.weight(via_alpha1, +1), s.weight(via_alpha1, -1))
+        assert eta_pair(s, beta, p) == (weight(s, via_alpha1, +1), weight(s, via_alpha1, -1))
 
 
 def test_ppt_is_monotone_in_noise_on_a_grid():
@@ -230,14 +224,14 @@ def test_witness_is_deterministic():
     for p in enumerate_bipartitions(3):
         ppt, witness = is_ppt(s, p)
         assert not ppt
-        assert witness.beta == SubsetMask.empty(3)
+        assert witness.beta == SubsetMask(0, 3)
         assert witness.coefficient == "E"
         assert witness.value == -1.0
     # with all coefficients tied, the first class and the first name win
     m = GhzDiagonalState.maximally_mixed(3)
     ppt, witness = is_ppt(m, enumerate_bipartitions(3)[0])
     assert ppt
-    assert witness.beta == SubsetMask.empty(3)
+    assert witness.beta == SubsetMask(0, 3)
     assert witness.coefficient == "B"
     assert witness.value == pytest.approx(0.25, abs=1e-15)
 
@@ -249,15 +243,27 @@ def test_is_ppt_tolerance_is_adjustable():
     assert is_ppt(s, p, tol=1.5)[0]
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1e-12])
+def test_meaningless_tol_is_rejected(tol):
+    # nan and negative values used to call a separable state fully
+    # entangled, and inf called every cut PPT
+    s = GhzDiagonalState.maximally_mixed(3)
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        classify(s, tol=tol)
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        is_ppt(s, enumerate_bipartitions(3)[0], tol=tol)
+    assert not classify(s, tol=0.0).full_entangled
+
+
 def test_classify_pure_and_mixed_endpoints():
     for n in range(2, 7):
         report = classify(GhzDiagonalState.pure_ghz(n))
         assert report.full_entangled
         assert len(report.partitions) == (1 << (n - 1)) - 1
-        assert not report.ppt_partitions
+        assert not report.ppt.any()
         report = classify(GhzDiagonalState.maximally_mixed(n))
         assert not report.full_entangled
-        assert len(report.ppt_partitions) == len(report.partitions)
+        assert report.ppt.all() and report.ppt.size == len(report.partitions)
 
 
 def test_classify_matches_dense_verdicts():
@@ -334,11 +340,11 @@ def test_mixed_qubit_counts_rejected():
     s = random_state(3, 0)
     p4 = enumerate_bipartitions(4)[0]
     with pytest.raises(ValueError):
-        eta_pair(s, SubsetMask.empty(3), p4)
+        eta_pair(s, SubsetMask(0, 3), p4)
     with pytest.raises(ValueError):
         coefficient_arrays(s, p4)
     with pytest.raises(ValueError):
-        block_coefficients(s, SubsetMask.empty(4), enumerate_bipartitions(3)[0])
+        block_coefficients(s, SubsetMask(0, 4), enumerate_bipartitions(3)[0])
 
 
 def test_coefficient_names_order():

@@ -1,15 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
-from ghzent.basis import SparseStateVector, ghz_vector
-from ghzent.subsets import (
-    Bipartition,
-    SubsetMask,
-    enumerate_bipartitions,
+from ghz_reference import (
+    INV_SQRT2,
+    SparseStateVector,
     enumerate_canonical_betas,
+    ghz_vector,
+    mask_from_qubits,
+    phi_vector,
+    xor,
 )
-
-INV_SQRT2 = 1.0 / np.sqrt(2.0)
+from ghzent.cli import main
+from ghzent.subsets import Bipartition, SubsetMask, enumerate_bipartitions
 
 
 def amplitude(vec: SparseStateVector, idx: int) -> float:
@@ -24,22 +28,8 @@ def inner_product(a: SparseStateVector, b: SparseStateVector) -> float:
     return sum(amp * amps[idx] for idx, amp in a.entries if idx in amps)
 
 
-def phi_vector(beta: SubsetMask, sign: int, partition: Bipartition) -> SparseStateVector:
-    """Partner vector of a subset relative to a bipartition.
-
-    The GHZ vector of ``beta`` with the second group's bits flipped in both
-    support indices, in the basis phase convention: +1/sqrt(2) on the
-    smaller index and the sign label on the larger one.
-    """
-    if partition.n != beta.n:
-        raise ValueError(f"mixed qubit counts {beta.n} and {partition.n}")
-    flip = partition.alpha2.bits
-    lo, hi = sorted(idx ^ flip for idx in ghz_vector(beta, sign).support)
-    return SparseStateVector(beta.n, ((lo, INV_SQRT2), (hi, sign * INV_SQRT2)))
-
-
 def test_vector_support_and_amplitudes():
-    beta = SubsetMask.from_bit_string("011")
+    beta = SubsetMask(0b011, 3)
     plus = ghz_vector(beta, +1)
     minus = ghz_vector(beta, -1)
     assert plus.support == (3, 4)
@@ -91,22 +81,22 @@ def test_partner_vector_is_relabeled_basis_vector():
         beta = SubsetMask(int(rng.integers(0, 1 << (n - 1))), n)
         for sign in (+1, -1):
             phi = phi_vector(beta, sign, partition)
-            psi = ghz_vector(beta.xor(partition.alpha2), sign)
+            psi = ghz_vector(xor(beta, partition.alpha2), sign)
             assert phi.entries == psi.entries
 
 
 def test_partner_projector_matches_exactly():
-    partition = Bipartition(SubsetMask.from_qubits([1, 3], 3))
+    partition = Bipartition(mask_from_qubits([1, 3], 3))
     for k in range(4):
         beta = SubsetMask(k, 3)
         for sign in (+1, -1):
             phi = phi_vector(beta, sign, partition)
-            psi = ghz_vector(beta.xor(partition.alpha2), sign)
+            psi = ghz_vector(xor(beta, partition.alpha2), sign)
             assert np.array_equal(phi.outer(), psi.outer())
 
 
 def test_outer_is_rank_one_projector():
-    v = ghz_vector(SubsetMask.from_bit_string("010"), -1)
+    v = ghz_vector(SubsetMask(0b010, 3), -1)
     proj = v.outer()
     assert np.allclose(proj @ proj, proj, atol=1e-15)
     assert abs(np.trace(proj) - 1.0) < 1e-14
@@ -114,7 +104,7 @@ def test_outer_is_rank_one_projector():
 
 
 def test_invalid_sign_rejected():
-    beta = SubsetMask.empty(2)
+    beta = SubsetMask(0, 2)
     with pytest.raises(ValueError):
         ghz_vector(beta, 0)
     with pytest.raises(ValueError):
@@ -133,7 +123,35 @@ def test_sparse_vector_validation():
 
 
 def test_inner_product_mismatched_sizes():
-    a = ghz_vector(SubsetMask.empty(2), +1)
-    b = ghz_vector(SubsetMask.empty(3), +1)
+    a = ghz_vector(SubsetMask(0, 2), +1)
+    b = ghz_vector(SubsetMask(0, 3), +1)
     with pytest.raises(ValueError):
         inner_product(a, b)
+
+
+def _reference_basis_rows(n: int) -> list[dict]:
+    return [
+        {
+            "beta": beta.bit_string(),
+            "sign": label,
+            "support": list(vec.support),
+            "amplitudes": [amp for _, amp in vec.entries],
+        }
+        for beta in enumerate_canonical_betas(n)
+        for sign, label in ((+1, "+"), (-1, "-"))
+        for vec in (ghz_vector(beta, sign),)
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_basis_command_prints_the_reference_vectors(capsys, n):
+    rows = _reference_basis_rows(n)
+    assert main(["basis", "--n", str(n), "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
+    assert main(["basis", "--n", str(n)]) == 0
+    lines = [
+        f"  {r['beta']}  {r['sign']}  support={r['support']}  "
+        f"amps=[{', '.join(f'{a:+.9f}' for a in r['amplitudes'])}]"
+        for r in rows
+    ]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"

@@ -66,8 +66,9 @@ def test_classify_exit_two_for_bad_input(capsys):
     rc, _, err = run(capsys, "classify", "--input", '{"n":3}')
     assert rc == 2
     assert "error:" in err
-    rc, _, err = run(capsys, "classify")
-    assert rc == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["classify"])
+    assert exc.value.code == 2
     rc, _, err = run(capsys, "classify", "--input", "/no/such/file.json")
     assert rc == 2
 
@@ -130,9 +131,10 @@ def test_basis_lists_all_vectors(capsys):
 
 
 def test_basis_requires_n(capsys):
-    rc, _, err = run(capsys, "basis")
-    assert rc == 2
-    assert "error:" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["basis"])
+    assert exc.value.code == 2
+    assert "error: the following arguments are required: --n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [0, -3, 1, 25])
@@ -229,6 +231,33 @@ FLAGS_READ = {
 }
 
 
+# The flags a subcommand cannot run without.
+REQUIRED = {
+    "classify": ("input",),
+    "oracle-check": ("n",),
+    "random": ("n",),
+    "threshold": ("input",),
+    "basis": ("n",),
+}
+
+
+def required_args(command: str) -> list[str]:
+    """Valid values for the flags ``command`` cannot run without."""
+    return [f"--{f}={FLAG_VALUES[f]}" for f in REQUIRED.get(command, ())]
+
+
+@pytest.mark.parametrize("command", list(FLAGS_READ))
+def test_missing_required_flag_exits_two_and_names_it(capsys, command):
+    for flag in REQUIRED.get(command, ()):
+        others = [f"--{f}={FLAG_VALUES[f]}" for f in FLAGS_READ[command] if f != flag]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *others])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: the following arguments are required: --{flag}\n")
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
@@ -240,7 +269,7 @@ FLAGS_READ = {
 )
 def test_flag_a_subcommand_does_not_read_exits_two(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
-        main([command, f"--{flag}", FLAG_VALUES[flag]])
+        main([command, *required_args(command), f"--{flag}", FLAG_VALUES[flag]])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -258,7 +287,7 @@ def test_help_lists_exactly_the_flags_read(capsys, command):
 
 def test_default_counts():
     defaults = {
-        command: vars(build_parser().parse_args([command])).get("count")
+        command: vars(build_parser().parse_args([command, *required_args(command)])).get("count")
         for command in FLAGS_READ
     }
     assert defaults == {

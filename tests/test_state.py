@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ghzent.basis import ghz_vector
+from ghz_reference import enumerate_canonical_betas, ghz_vector, weight
 from ghzent.cli import main
 from ghzent.state import (
     DenseOperator,
@@ -19,7 +19,7 @@ from ghzent.state import (
     to_dense,
     twirl_to_ghz_diagonal,
 )
-from ghzent.subsets import SubsetMask, enumerate_canonical_betas
+from ghzent.subsets import SubsetMask
 
 
 def extract_lambda(rho: DenseOperator, beta: SubsetMask, sign: int) -> float:
@@ -45,7 +45,7 @@ def test_constructor_checks_normalization():
 def test_constructor_clamps_float_dust():
     s = GhzDiagonalState(2, [1.0 + 5e-13, -5e-13], [0.0, 0.0])
     assert s.lambda_plus[1] == 0.0
-    assert s.weight(SubsetMask(1, 2), +1) == 0.0
+    assert weight(s, SubsetMask(1, 2), +1) == 0.0
 
 
 def test_qubit_range():
@@ -57,18 +57,11 @@ def test_qubit_range():
 
 def test_pure_ghz_and_maximally_mixed():
     s = GhzDiagonalState.pure_ghz(3)
-    assert s.weight(SubsetMask.empty(3), +1) == 1.0
+    assert weight(s, SubsetMask(0, 3), +1) == 1.0
     assert s.lambda_plus.sum() + s.lambda_minus.sum() == pytest.approx(1.0)
     m = GhzDiagonalState.maximally_mixed(3)
     assert np.allclose(m.lambda_plus, 1 / 8)
     assert np.allclose(m.lambda_minus, 1 / 8)
-
-
-def test_weight_accepts_either_class_label():
-    s = random_state(3, 0)
-    beta = SubsetMask.from_bit_string("011")
-    assert s.weight(beta, +1) == s.weight(beta.complement(), +1)
-    assert s.weight(beta, -1) == s.weight(beta.complement(), -1)
 
 
 def test_weights_are_read_only():
@@ -100,8 +93,8 @@ def test_dense_equals_projector_sum():
         s = random_state(3, seed)
         acc = np.zeros((8, 8))
         for beta in enumerate_canonical_betas(3):
-            acc += s.weight(beta, +1) * ghz_vector(beta, +1).outer()
-            acc += s.weight(beta, -1) * ghz_vector(beta, -1).outer()
+            acc += weight(s, beta, +1) * ghz_vector(beta, +1).outer()
+            acc += weight(s, beta, -1) * ghz_vector(beta, -1).outer()
         assert np.max(np.abs(acc - to_dense(s).matrix)) < 1e-15
 
 
@@ -113,10 +106,10 @@ def test_extract_lambda_round_trip():
         rho = to_dense(s)
         for beta in enumerate_canonical_betas(n):
             assert extract_lambda(rho, beta, +1) == pytest.approx(
-                s.weight(beta, +1), abs=1e-12
+                weight(s, beta, +1), abs=1e-12
             )
             assert extract_lambda(rho, beta, -1) == pytest.approx(
-                s.weight(beta, -1), abs=1e-12
+                weight(s, beta, -1), abs=1e-12
             )
 
 
@@ -134,8 +127,8 @@ def test_twirl_reports_discarded_mass():
     rho = np.zeros((8, 8))
     rho[0, 0] = 1.0
     state, discarded = twirl_to_ghz_diagonal(DenseOperator.from_matrix(rho))
-    assert state.weight(SubsetMask.empty(3), +1) == pytest.approx(0.5, abs=1e-12)
-    assert state.weight(SubsetMask.empty(3), -1) == pytest.approx(0.5, abs=1e-12)
+    assert weight(state, SubsetMask(0, 3), +1) == pytest.approx(0.5, abs=1e-12)
+    assert weight(state, SubsetMask(0, 3), -1) == pytest.approx(0.5, abs=1e-12)
     assert discarded == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
@@ -210,8 +203,8 @@ def test_json_full_convention_maps_to_complement():
         "weights": [{"beta": "111", "plus": 0.4, "minus": 0.6}],
     }
     s = state_from_json_dict(doc)
-    assert s.weight(SubsetMask.empty(3), +1) == pytest.approx(0.4)
-    assert s.weight(SubsetMask.empty(3), -1) == pytest.approx(0.6)
+    assert weight(s, SubsetMask(0, 3), +1) == pytest.approx(0.4)
+    assert weight(s, SubsetMask(0, 3), -1) == pytest.approx(0.6)
     # both labels of one class may appear when they agree
     doc["weights"].append({"beta": "000", "plus": 0.4, "minus": 0.6})
     assert state_from_json_dict(doc) == s
@@ -337,6 +330,18 @@ NOT_A_BIT_STRING = "error: field 'weights[0].beta' must be an n-digit bit string
             [{"beta": "000", "plus": 0.5}, {"beta": "111", "plus": 0.4}],
             "full",
             "error: field 'weights[1].beta' repeats class 000 with conflicting values\n",
+        ),
+        ([{"beta": "", "plus": 1.0}], "canonical", NOT_A_BIT_STRING),
+        # digits are counted past the 24-qubit cap too
+        (
+            [{"beta": "0" * 30, "plus": 1.0}],
+            "canonical",
+            "error: field 'weights[0].beta' has 30 digits, expected 3\n",
+        ),
+        (
+            [{"beta": "0" * 25, "plus": 1.0}],
+            "full",
+            "error: field 'weights[0].beta' has 25 digits, expected 3\n",
         ),
     ],
 )
