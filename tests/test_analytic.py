@@ -459,6 +459,38 @@ def test_partition_minima_matches_reference(state):
     assert_minima_match_reference(state)
 
 
+def large_scan_corpus():
+    # From n = 12 on, the unsorted tail of a side can exceed 64 times the
+    # prefix it is asked for, so ranking goes through selection and its tie
+    # fill at the edge key instead of one full sort.
+    n = 12
+    p_star = (1 << n) / ((1 << n) + 2)
+    for seed in range(2):
+        yield pytest.param(random_state(n, seed), id=f"random-n{n}-seed{seed}")
+        yield pytest.param(quantised_state(n, seed), id=f"quantised-n{n}-seed{seed}")
+        yield pytest.param(sparse_repeated_state(n, seed), id=f"sparse-repeated-n{n}-seed{seed}")
+    for p in (p_star - 1e-9, p_star, p_star + 1e-9):
+        yield pytest.param(ghz_at(n, p), id=f"ghz-n{n}-p{p}")
+    yield pytest.param(GhzDiagonalState.maximally_mixed(n), id=f"mixed-n{n}")
+    for seed in range(2):
+        p = 0.99 + 0.003 * seed
+        state = mix_with_white_noise(random_state(n, 50 + seed), p)
+        yield pytest.param(state, id=f"near-mixed-n{n}-p{p}")
+    yield pytest.param(classical_ghz(n), id=f"classical-ghz-n{n}")
+    for seed in range(2):
+        yield pytest.param(dephased_state(n, seed), id=f"dephased-n{n}-seed{seed}")
+        yield pytest.param(parity_flat_state(n, seed), id=f"parity-flat-n{n}-seed{seed}")
+    state = mix_with_white_noise(dephased_state(n, 70), 0.5)
+    yield pytest.param(state, id=f"dephased-half-mixed-n{n}")
+    yield pytest.param(random_state(13, 0), id="random-n13-seed0")
+    yield pytest.param(quantised_state(13, 0), id="quantised-n13-seed0")
+
+
+@pytest.mark.parametrize("state", large_scan_corpus())
+def test_partition_minima_matches_reference_at_n12_and_n13(state):
+    assert_minima_match_reference(state)
+
+
 @st.composite
 def sparse_states(draw, max_n=8):
     """At most three nonzero weights, often equal, so ties are common."""
