@@ -174,16 +174,18 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
     s_k - |d_j| and min(C_k, D_k) = s_k - |d_j| as well, so the minimum of
     cut alpha2 is min_j (s[j ^ alpha2] - |d_j|).  The scan reaches the
     pairs from two sides, a block of classes against every open cut at
-    once: rows j in decreasing |d_j| and partners k in increasing s_k,
-    each block from the side whose next block raises s_next - |d_next|
-    more.  A pair not yet evaluated is unvisited on both sides, so it is
-    no smaller than s_next - |d_next|, and a cut is closed once that bound,
-    less a few-ulp margin, exceeds its minimum.  Near that point the bound
-    is made exact by putting the extremes of the unvisited operands into
-    the formulas' operation order; a cut whose minimum equals it can only
-    move its witness to a smaller row, and those rows are checked
-    directly.  Weights that tie in both s and |d|, such as quantised ones,
-    still evaluate O(4^n) pairs.
+    once: rows j in decreasing |d_j| and partners k in increasing s_k, ties
+    to the smaller class, each block from the side whose next block raises
+    s_next - |d_next| more.  A side is sorted only on a prefix, and until
+    it is first visited it finds its key one block on by selection.  A
+    pair not yet evaluated is unvisited on both sides, so it is no smaller
+    than s_next - |d_next|, and a cut is closed once that bound, less a
+    few-ulp margin, exceeds its minimum.  Near that point the bound is made
+    exact by putting the extremes of the unvisited operands into the
+    formulas' operation order; a cut whose minimum equals it can only move
+    its witness to a smaller row, and those rows are checked directly.
+    Weights that tie in both s and |d|, such as quantised ones, still
+    evaluate O(4^n) pairs.
     """
     lp = state.lambda_plus
     lm = state.lambda_minus
@@ -198,23 +200,17 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
     best = np.full(alpha2.size, np.inf)
     row = np.zeros(alpha2.size, dtype=np.int64)
     live = np.arange(alpha2.size)  # open cuts: minimum or witness may still change
-    # Rows by increasing -|d| and partners by increasing s, each sorted only
-    # on a prefix that grows as the scan needs it; partners not before their
-    # side is first chosen.
-    step = max(1, min(_BLOCK_CLASSES, _BLOCK_ENTRIES // alpha2.size))
-    rows = np.arange(n_cls)
-    rows_ranked = _rank_prefix(neg_abs_d, rows, 0, step + 1)
-    partners = np.arange(n_cls)
-    partners_ranked = 0
-    floor = s.min()
+    # Per side, rows (t = 0) then partners (t = 1): key, order of visit,
+    # classes visited, length of the sorted prefix, and the next key.
+    keys = (neg_abs_d, s)
+    orders = (np.arange(n_cls), np.arange(n_cls))
+    pos, ranked, nxt = [0, 0], [0, 0], [neg_abs_d.min(), s.min()]
     size = min(_BLOCK_CLASSES * alpha2.size, max(_BLOCK_ENTRIES, alpha2.size))
     int_bufs = np.empty((2, size), dtype=np.int64)
     float_bufs = np.empty((4, size))
-    r = p = 0  # rows and partners visited
     exact_at = None
-    while r < n_cls and p < n_cls:
-        d_next = neg_abs_d[rows[r]]
-        s_next = s[partners[p]] if partners_ranked else floor
+    while max(pos) < n_cls:
+        (rows, partners), (r, p), (d_next, s_next) = orders, pos, nxt
         bound = s_next + d_next
         live = live[best[live] >= bound - margin]
         if live.size and best[live].min() <= bound + margin:
@@ -240,52 +236,40 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
         if not live.size:
             break
         step = max(1, min(_BLOCK_CLASSES, _BLOCK_ENTRIES // live.size))
-        r_end = min(r + step, n_cls)
-        p_end = min(p + step, n_cls)
-        if rows_ranked <= r_end < n_cls:
-            rows_ranked = _rank_prefix(neg_abs_d, rows, rows_ranked, 2 * r_end)
-        row_gain = neg_abs_d[rows[r_end]] - d_next if r_end < n_cls else np.inf
-        if p_end == n_cls:
-            partner_gain = np.inf
-        elif partners_ranked > p_end:
-            partner_gain = s[partners[p_end]] - s_next
-        else:
-            partner_gain = np.partition(s[partners[p:]], p_end - p)[p_end - p] - s_next
-        partner_side = partner_gain > row_gain
-        if partner_side and partners_ranked <= p_end < n_cls:
-            partners_ranked = _rank_prefix(s, partners, partners_ranked, 2 * p_end)
+        ahead = []  # each side's key one block on
+        for t in (0, 1):
+            i = pos[t] + step
+            if pos[t] and ranked[t] <= i < n_cls:  # visited: keep it sorted past i
+                ranked[t] = _rank_prefix(keys[t], orders[t], ranked[t], 2 * i)
+            ahead.append(
+                np.inf if i >= n_cls
+                else keys[t][orders[t][i]] if i < ranked[t]
+                else np.partition(keys[t], i)[i]  # not yet visited: still in class order
+            )
+        t = int(ahead[1] - s_next > ahead[0] - d_next)
+        end = min(pos[t] + step, n_cls)
+        if ranked[t] <= end < n_cls:  # first visit
+            ranked[t] = _rank_prefix(keys[t], orders[t], ranked[t], end + 1)
+        block = orders[t][pos[t] : end, None]
+        pos[t], nxt[t] = end, ahead[t]
         cut = alpha2[live]
-        blk = (p_end - p) if partner_side else (r_end - r)
-        idx, hits = int_bufs[:, : blk * cut.size].reshape(2, blk, cut.size)
-        x, y, be, cd = float_bufs[:, : blk * cut.size].reshape(4, blk, cut.size)
-        # min(B_j, E_j) in row j and min(C_k, D_k) in row k, written into
-        # buffers allocated once per scan.
-        if partner_side:
-            k = partners[p:p_end, None]
-            j = np.bitwise_xor(k, cut, out=idx)
-            p = p_end
-            np.take(neg_abs_d, j, out=be)
-            be += lp[k]
-            be += lm[k]
-            lp_j = np.take(lp, j, out=x)
-            lm_j = np.take(lm, j, out=y)
-            np.subtract(s[k], lp_j, out=cd)
-            cd += lm_j
-            coef_d = np.add(s[k], lp_j, out=x)
-            coef_d -= lm_j
-        else:
-            j = rows[r:r_end, None]
-            k = np.bitwise_xor(j, cut, out=idx)
-            r = r_end
-            ep = np.take(lp, k, out=x)
-            em = np.take(lm, k, out=y)
-            np.add(neg_abs_d[j], ep, out=be)
-            be += em
-            np.add(ep, em, out=cd)  # s[k]: the same sum of the same weights
-            coef_d = np.add(cd, lp[j], out=x)
-            coef_d -= lm[j]
-            cd -= lp[j]
-            cd += lm[j]
+        idx, hits = int_bufs[:, : block.size * cut.size].reshape(2, block.size, cut.size)
+        x, y, be, cd = float_bufs[:, : block.size * cut.size].reshape(4, block.size, cut.size)
+        other = np.bitwise_xor(block, cut, out=idx)
+        j, k = (other, block) if t else (block, other)
+        # min(B_j, E_j) in row j and min(C_k, D_k) in row k, in buffers
+        # allocated once per scan wherever an operand varies along the cuts.
+        lp_j = _gather(lp, j, other, x)
+        lm_j = _gather(lm, j, other, y)
+        lp_k = _gather(lp, k, other, x)
+        lm_k = _gather(lm, k, other, y)
+        np.add(_gather(neg_abs_d, j, other, be), lp_k, out=be)
+        be += lm_k
+        s_k = np.add(lp_k, lm_k, out=lp_k)  # s[k]: the same sum of the same weights
+        np.subtract(s_k, lp_j, out=cd)
+        cd += lm_j
+        coef_d = np.add(s_k, lp_j, out=x)
+        coef_d -= lm_j
         np.minimum(cd, coef_d, out=cd)
         low = np.minimum(be.min(axis=0), cd.min(axis=0))
         # A block changes a cut only by lowering its minimum or by tying it
@@ -297,8 +281,8 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
             continue
         # With the rows shifted below zero, the smallest row holding low in
         # a column is the column minimum of (value == low) * (row - n_cls).
-        idx -= n_cls
-        j_off, k_off = (idx, k - n_cls) if partner_side else (j - n_cls, idx)
+        other -= n_cls
+        j_off, k_off = (other, block - n_cls) if t else (block - n_cls, other)
         first = n_cls + np.minimum(
             np.multiply(be == low, j_off, out=hits).min(axis=0),
             np.multiply(cd == low, k_off, out=hits).min(axis=0),
@@ -312,6 +296,11 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
     )
     codes = np.argmin(table, axis=1)
     return table[np.arange(row.size), codes], row, codes
+
+
+def _gather(values, index, per_cut, out):
+    """``values[index]``, written into ``out`` when ``index`` is the per-cut array."""
+    return np.take(values, index, out=out) if index is per_cut else values[index]
 
 
 def _rank_prefix(key, order, ranked, m) -> int:

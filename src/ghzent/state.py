@@ -319,6 +319,6 @@ def dump_state(state: GhzDiagonalState, indent: int | None = 2) -> str:
 def load_state(text: str) -> GhzDiagonalState:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"malformed JSON: {exc}") from None
     return state_from_json_dict(data)

@@ -454,11 +454,6 @@ def scan_corpus():
         yield pytest.param(state, id=f"dephased-half-mixed-n{n}")
 
 
-@pytest.mark.parametrize("state", scan_corpus())
-def test_partition_minima_matches_reference(state):
-    assert_minima_match_reference(state)
-
-
 def large_scan_corpus():
     # From n = 12 on, the unsorted tail of a side can exceed 64 times the
     # prefix it is asked for, so ranking goes through selection and its tie
@@ -486,8 +481,8 @@ def large_scan_corpus():
     yield pytest.param(quantised_state(13, 0), id="quantised-n13-seed0")
 
 
-@pytest.mark.parametrize("state", large_scan_corpus())
-def test_partition_minima_matches_reference_at_n12_and_n13(state):
+@pytest.mark.parametrize("state", [*scan_corpus(), *large_scan_corpus()])
+def test_partition_minima_matches_reference(state):
     assert_minima_match_reference(state)
 
 

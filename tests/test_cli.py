@@ -196,6 +196,18 @@ def test_non_finite_weights_and_non_integer_n_exit_two(capsys, command, text):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["classify", "threshold"])
+def test_deeply_nested_json_exits_two(capsys, command):
+    # Past the interpreter's recursion limit json.loads raises RecursionError;
+    # that is malformed input, not a verdict (exit 1 means "not fully entangled").
+    depth = 100_000
+    text = '{"n": 3, "weights": ' + "[" * depth + "]" * depth + "}"
+    rc, out, err = run(capsys, command, "--input", text)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: malformed JSON")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-12"])
 def test_tol_must_be_finite_and_nonnegative(capsys, tol):
     rc, out, err = run(capsys, "classify", "--input", PURE_GHZ_3, f"--tol={tol}")
