@@ -28,7 +28,6 @@ from .analytic import (  # noqa: F401
     COEFFICIENT_TOL,
     classify,
     full_entanglement_threshold,
-    is_ppt,
     noise_threshold,
     partition_thresholds,
 )
@@ -92,7 +91,7 @@ _THRESHOLD_ROW = '    {\n      "alpha1": "%s",\n      "threshold": %r\n    }'
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _json_document(fields: str, rows: list[str]) -> str:
+def _json_document(fields: str, rows) -> str:
     return f'{{\n{fields},\n  "partitions": [\n' + ",\n".join(rows) + "\n  ]\n}"
 
 
@@ -103,12 +102,16 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         fields = f'  "n": {n},\n  "full_entangled": {_JSON_BOOL[report.full_entangled]}'
         ppt, _, codes, values = report.columns()
-        rows = [
-            _CLASSIFY_ROW % (alpha1, _JSON_BOOL[p], beta, COEFFICIENT_NAMES[c], value)
-            for alpha1, p, beta, c, value in zip(
-                bipartition_bit_strings(n), ppt, bit_strings(report.classes, n), codes, values
-            )
-        ]
+        rows = map(
+            _CLASSIFY_ROW.__mod__,
+            zip(
+                bipartition_bit_strings(n),
+                map(_JSON_BOOL.__getitem__, ppt),
+                bit_strings(report.classes, n),
+                map(COEFFICIENT_NAMES.__getitem__, codes),
+                values,
+            ),
+        )
         print(_json_document(fields, rows))
     else:
         ppt_count = int(report.ppt.sum())
@@ -138,8 +141,8 @@ def cmd_oracle_check(args) -> int:
     for i in range(args.count):
         state = random_state(n, args.seed + i)
         dense = to_dense(state)
-        for partition in partitions:
-            analytic_verdict, _ = is_ppt(state, partition, tol=args.tol)
+        analytic_verdicts = classify(state, tol=args.tol).ppt.tolist()
+        for partition, analytic_verdict in zip(partitions, analytic_verdicts):
             spectrum = eigenvalues_symmetric(partial_transpose(dense, partition.alpha1))
             # partial-transpose eigenvalues are half the block coefficients
             dense_verdict = spectrum.min_eigenvalue >= -args.tol / 2
@@ -202,10 +205,9 @@ def cmd_threshold(args) -> int:
             f'  "n": {state.n},\n  "full_entanglement_threshold": {overall!r},\n'
             f'  "ghz_closed_form": {"null" if ghz_closed_form is None else repr(ghz_closed_form)}'
         )
-        rows = [
-            _THRESHOLD_ROW % row
-            for row in zip(bipartition_bit_strings(state.n), thresholds.tolist())
-        ]
+        rows = map(
+            _THRESHOLD_ROW.__mod__, zip(bipartition_bit_strings(state.n), thresholds.tolist())
+        )
         print(_json_document(fields, rows))
     else:
         print(f"n = {state.n}")

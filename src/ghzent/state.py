@@ -249,6 +249,106 @@ def _json_number(value) -> float:
     return float(value)
 
 
+def _all_instances(values, base, but=()) -> bool:
+    """``isinstance(v, base) and not isinstance(v, but)`` for every v, once per type."""
+    return all(issubclass(t, base) and not issubclass(t, but) for t in set(map(type, values)))
+
+
+def _weight_columns(entries: list, n: int, convention: str):
+    """``(lambda_plus, lambda_minus)`` of a weights list, or None if an entry is bad.
+
+    Every check runs on whole columns.  None means some entry fails one;
+    :func:`_first_bad_entry` then names the first.  The class indices are a
+    Horner fold over the digit columns, so the digits stay one byte each:
+    an int64 digit matrix would take 1.6 GB at n = 24.
+    """
+    if not _all_instances(entries, dict):
+        return None
+    betas = [e.get("beta") for e in entries]
+    plus = [e.get("plus", 0.0) for e in entries]
+    minus = [e.get("minus", 0.0) for e in entries]
+    if not (_all_instances(betas, str) and set(map(len, betas)) <= {n}):
+        return None
+    if not (_all_instances(plus, (int, float), bool) and _all_instances(minus, (int, float), bool)):
+        return None
+    try:
+        raw = "".join(betas).encode("ascii")
+        plus = np.array(plus, dtype=float)
+        minus = np.array(minus, dtype=float)
+    except (UnicodeEncodeError, OverflowError):
+        return None
+    digits = np.frombuffer(raw, dtype=np.uint8) - ord("0")  # wraps below '0'
+    if (digits > 1).any():
+        return None
+    k = np.zeros(len(entries), dtype=np.int64)
+    for column in digits.reshape(-1, n).T:
+        k += k
+        k += column
+    top = 1 << (n - 1)
+    high = k >= top
+    if high.any():
+        if convention == "canonical":
+            return None
+        k[high] ^= (top << 1) - 1
+    if np.bincount(k, minlength=top).max() > 1:
+        # Each repeat against its class's first entry; NaN never agrees.
+        pos = np.arange(len(k))
+        first = np.full(top, len(k))
+        np.minimum.at(first, k, pos)
+        lead = first[k]
+        repeat = lead != pos
+        for col in (plus, minus):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                agree = np.abs(col[lead[repeat]] - col[repeat]) <= WEIGHT_CLAMP
+            if not agree.all():
+                return None
+        k, plus, minus = k[~repeat], plus[~repeat], minus[~repeat]
+    lp = np.zeros(top)
+    lm = np.zeros(top)
+    lp[k] = plus
+    lm[k] = minus
+    return lp, lm
+
+
+def _first_bad_entry(entries: list, n: int, convention: str) -> ValueError:
+    """The error for the first entry, in document order, that breaks the weights contract.
+
+    Runs only after :func:`_weight_columns` has rejected the list.
+    """
+    top = 1 << (n - 1)
+    seen: dict[int, tuple[float, float]] = {}
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            return ValueError(f"field 'weights[{pos}]' must be an object")
+        beta = entry.get("beta")
+        if not (isinstance(beta, str) and len(beta) == n and not beta.strip("01")):
+            return _beta_error(beta, pos, n)
+        k = int(beta, 2)
+        try:
+            plus = _json_number(entry.get("plus", 0.0))
+            minus = _json_number(entry.get("minus", 0.0))
+        except (TypeError, OverflowError):
+            return ValueError(f"field 'weights[{pos}]' plus/minus must be numbers")
+        if k & top:
+            if convention == "canonical":
+                return ValueError(
+                    f"field 'weights[{pos}].beta' = {beta!r} is not canonical "
+                    "(canonical classes exclude qubit 1)"
+                )
+            k ^= (top << 1) - 1
+        if k not in seen:
+            seen[k] = (plus, minus)
+            continue
+        prev = seen[k]
+        # NaN never agrees: a repeat passes only if both differences are <= the clamp
+        if not (abs(prev[0] - plus) <= WEIGHT_CLAMP and abs(prev[1] - minus) <= WEIGHT_CLAMP):
+            return ValueError(
+                f"field 'weights[{pos}].beta' repeats class {format(k, f'0{n}b')} "
+                "with conflicting values"
+            )
+    raise RuntimeError("the weight columns were rejected, but no entry breaks the contract")
+
+
 def state_from_json_dict(data: dict) -> GhzDiagonalState:
     """Read a state from its JSON form.
 
@@ -270,46 +370,10 @@ def state_from_json_dict(data: dict) -> GhzDiagonalState:
     entries = data.get("weights", [])
     if not isinstance(entries, list):
         raise ValueError("field 'weights' must be a list")
-
-    top = 1 << (n - 1)
-    lp = np.zeros(top)
-    lm = np.zeros(top)
-    seen: dict[int, tuple[float, float]] = {}
-    for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"field 'weights[{pos}]' must be an object")
-        beta = entry.get("beta")
-        if not (isinstance(beta, str) and len(beta) == n and not beta.strip("01")):
-            raise _beta_error(beta, pos, n)
-        k = int(beta, 2)
-        plus = entry.get("plus", 0.0)
-        minus = entry.get("minus", 0.0)
-        # json.loads gives most weights as floats; only the rest need a check
-        if type(plus) is not float or type(minus) is not float:
-            try:
-                plus = _json_number(plus)
-                minus = _json_number(minus)
-            except (TypeError, OverflowError):
-                raise ValueError(f"field 'weights[{pos}]' plus/minus must be numbers") from None
-        if k & top:
-            if convention == "canonical":
-                raise ValueError(
-                    f"field 'weights[{pos}].beta' = {beta!r} is not canonical "
-                    "(canonical classes exclude qubit 1)"
-                )
-            k ^= (top << 1) - 1
-        if k in seen:
-            prev = seen[k]
-            if abs(prev[0] - plus) > WEIGHT_CLAMP or abs(prev[1] - minus) > WEIGHT_CLAMP:
-                raise ValueError(
-                    f"field 'weights[{pos}].beta' repeats class {format(k, f'0{n}b')} "
-                    "with conflicting values"
-                )
-            continue
-        seen[k] = (plus, minus)
-        lp[k] = plus
-        lm[k] = minus
-    return GhzDiagonalState(n, lp, lm)
+    columns = _weight_columns(entries, n, convention)
+    if columns is None:
+        raise _first_bad_entry(entries, n, convention)
+    return GhzDiagonalState(n, *columns)
 
 
 def dump_state(state: GhzDiagonalState, indent: int | None = 2) -> str:

@@ -1,8 +1,10 @@
 """Independent references the tests check the library against.
 
-The GHZ basis as sparse two-amplitude vectors, and the subset-mask and
-weight helpers that only the tests need.  None of it is used by ``ghzent``
-itself, so the checks built on it share no code with the paths they test.
+The GHZ basis as sparse two-amplitude vectors, the subset-mask and weight
+helpers that only the tests need, and a per-entry parser of the state's
+JSON form.  None of it is used by ``ghzent`` itself, so the checks built
+on it share no code with the paths they test; the parser builds its state
+with ``GhzDiagonalState``, as the library's parser does.
 
 Every GHZ vector has exactly two nonzero amplitudes of magnitude 1/sqrt(2)
 sitting on a basis index and its bitwise complement.  All amplitudes are
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ghzent.subsets import Bipartition, SubsetMask
+from ghzent.state import WEIGHT_CLAMP, GhzDiagonalState
+from ghzent.subsets import MAX_QUBITS, Bipartition, SubsetMask
 
 NORM_TOL = 1e-12
 
@@ -128,3 +131,78 @@ def phi_vector(beta: SubsetMask, sign: int, partition: Bipartition) -> SparseSta
     flip = partition.alpha2.bits
     lo, hi = sorted(idx ^ flip for idx in ghz_vector(beta, sign).support)
     return SparseStateVector(beta.n, ((lo, INV_SQRT2), (hi, sign * INV_SQRT2)))
+
+
+# -- the state's JSON form ------------------------------------------------------
+
+
+def _reference_beta_error(beta, pos: int, n: int) -> ValueError:
+    if not (isinstance(beta, str) and beta and not beta.strip("01")):
+        return ValueError(f"field 'weights[{pos}].beta' must be an n-digit bit string")
+    return ValueError(f"field 'weights[{pos}].beta' has {len(beta)} digits, expected {n}")
+
+
+def _reference_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
+
+
+def reference_state_from_json_dict(data: dict) -> GhzDiagonalState:
+    """``state_from_json_dict`` one entry at a time, raising at the first bad one.
+
+    A repeated class passes only when both of its weights agree with the
+    first entry of that class within ``WEIGHT_CLAMP``; a NaN never agrees.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("state JSON must be an object")
+    n = data.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"field 'n' must be an integer qubit count, got {n!r}")
+    if not 2 <= n <= MAX_QUBITS:
+        raise ValueError(f"field 'n' must be in 2..{MAX_QUBITS}, got {n}")
+    convention = data.get("convention", "canonical")
+    if convention not in ("canonical", "full"):
+        raise ValueError(f"field 'convention' must be 'canonical' or 'full', got {convention!r}")
+    entries = data.get("weights", [])
+    if not isinstance(entries, list):
+        raise ValueError("field 'weights' must be a list")
+
+    top = 1 << (n - 1)
+    lp = np.zeros(top)
+    lm = np.zeros(top)
+    seen: dict[int, tuple[float, float]] = {}
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"field 'weights[{pos}]' must be an object")
+        beta = entry.get("beta")
+        if not (isinstance(beta, str) and len(beta) == n and not beta.strip("01")):
+            raise _reference_beta_error(beta, pos, n)
+        k = int(beta, 2)
+        plus = entry.get("plus", 0.0)
+        minus = entry.get("minus", 0.0)
+        if type(plus) is not float or type(minus) is not float:
+            try:
+                plus = _reference_number(plus)
+                minus = _reference_number(minus)
+            except (TypeError, OverflowError):
+                raise ValueError(f"field 'weights[{pos}]' plus/minus must be numbers") from None
+        if k & top:
+            if convention == "canonical":
+                raise ValueError(
+                    f"field 'weights[{pos}].beta' = {beta!r} is not canonical "
+                    "(canonical classes exclude qubit 1)"
+                )
+            k ^= (top << 1) - 1
+        if k in seen:
+            prev = seen[k]
+            if not (abs(prev[0] - plus) <= WEIGHT_CLAMP and abs(prev[1] - minus) <= WEIGHT_CLAMP):
+                raise ValueError(
+                    f"field 'weights[{pos}].beta' repeats class {format(k, f'0{n}b')} "
+                    "with conflicting values"
+                )
+            continue
+        seen[k] = (plus, minus)
+        lp[k] = plus
+        lm[k] = minus
+    return GhzDiagonalState(n, lp, lm)

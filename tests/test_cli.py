@@ -218,6 +218,50 @@ def test_tol_must_be_finite_and_nonnegative(capsys, tol):
     assert rc == 0
 
 
+def test_negative_tol_in_exponent_form_needs_an_equals_sign(capsys):
+    rc, out, err = run(capsys, "classify", "--input", PURE_GHZ_3, "--tol=-1e-12")
+    assert (rc, out, err) == (2, "", "error: --tol must be a finite number >= 0, got -1e-12\n")
+    # argparse reads "-1e-12" after a space as an option, and exits 2 itself
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--input", PURE_GHZ_3, "--tol", "-1e-12"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+# oracle-check --count 3 --seed 7 as the per-cut is_ppt verdicts gave it:
+# the JSON summary (printed by json.dumps with indent 2) and the table.
+ORACLE_CHECK = {
+    2: (
+        {"partitions": 1, "mismatches": 0, "worst_boundary_margin": 0.05612656712521377,
+         "max_residual": 5.551115123125783e-17, "spectrum_deviation": 5.551115123125783e-17},
+        "n=2 states=3 partitions=1 mismatches=0 worst_boundary_margin=5.613e-02 "
+        "max_residual=5.551e-17\ntwo-qubit spectrum deviation = 5.551e-17\n",
+    ),
+    3: (
+        {"partitions": 3, "mismatches": 0, "worst_boundary_margin": 0.01864213554762814,
+         "max_residual": 8.326672684688674e-17},
+        "n=3 states=3 partitions=3 mismatches=0 worst_boundary_margin=1.864e-02 "
+        "max_residual=8.327e-17\n",
+    ),
+    4: (
+        {"partitions": 7, "mismatches": 0, "worst_boundary_margin": 0.011616850395205686,
+         "max_residual": 1.5265566588595902e-16},
+        "n=4 states=3 partitions=7 mismatches=0 worst_boundary_margin=1.162e-02 "
+        "max_residual=1.527e-16\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_oracle_check_output_is_pinned(capsys, n):
+    fields, table = ORACLE_CHECK[n]
+    summary = {"n": n, "count": 3, "seed": 7, **fields}
+    argv = ["oracle-check", "--n", str(n), "--count", "3", "--seed", "7"]
+    json_out = json.dumps(summary, indent=2) + "\n"
+    assert run(capsys, *argv, "--format", "json") == (0, json_out, "")
+    assert run(capsys, *argv, "--format", "table") == (0, table, "")
+
+
 def test_count_must_be_positive(capsys):
     rc, _, err = run(capsys, "random", "--n", "3", "--count", "0")
     assert rc == 2

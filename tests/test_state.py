@@ -1,10 +1,18 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghz_reference import enumerate_canonical_betas, ghz_vector, weight
+from ghz_reference import (
+    enumerate_canonical_betas,
+    ghz_vector,
+    reference_state_from_json_dict,
+    weight,
+)
 from ghzent.cli import main
 from ghzent.state import (
     DenseOperator,
@@ -371,6 +379,22 @@ def test_non_number_weights_exit_two_with_exact_message(capsys, field, weight):
         assert (out.out, out.err) == ("", NOT_NUMBERS)
 
 
+@pytest.mark.parametrize(
+    "convention, repeat", [("canonical", "00"), ("full", "00"), ("full", "11")]
+)
+@pytest.mark.parametrize("field", ["plus", "minus"])
+def test_nan_in_a_repeated_class_conflicts(capsys, convention, repeat, field):
+    # abs(prev - NaN) > clamp is False, so a NaN repeat once passed as agreeing
+    first = {"beta": "00", "plus": 1.0, "minus": 0.0}
+    second = {**first, "beta": repeat, field: math.nan}
+    text = json.dumps({"n": 2, "convention": convention, "weights": [first, second]})
+    message = "error: field 'weights[1].beta' repeats class 00 with conflicting values\n"
+    for command in ("classify", "threshold"):
+        assert main([command, "--input", text, "--format", "json"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", message)
+
+
 def test_integer_weights_are_numbers():
     as_ints = load_state('{"n": 2, "weights": [{"beta": "00", "plus": 1, "minus": 0}]}')
     assert as_ints == GhzDiagonalState.pure_ghz(2)
@@ -399,3 +423,94 @@ def test_twirl_equals_per_class_loop_exactly(n):
         assert np.array_equal(got.lambda_plus, want.lambda_plus)
         assert np.array_equal(got.lambda_minus, want.lambda_minus)
         assert got_discarded == want_discarded
+
+
+# Values a weight may take in a generated document: numbers that pass, and
+# the JSON and Python values the contract rejects.
+ODD_WEIGHTS = (
+    0, 1, True, False, "0.5", None, [1], 10**400, math.nan, math.inf, -math.inf, -0.5, -5e-13
+)
+ODD_BETAS = ("０１", "0b1", "1_0", " 10", "+01", "", 5, None)
+NON_DICT_ENTRIES = ("x", 3, None, [], [{"beta": "00"}])
+EDITS = ("same", "clamp", "conflict", "weight", "drop", "beta", "object")
+
+
+@st.composite
+def weight_documents(draw):
+    """Weight lists built around a normalised state, then edited.
+
+    The edits repeat a class (identically, within the clamp, or in
+    conflict), swap a weight for an odd value, drop a weight, break a beta
+    or insert a non-object entry.  Most edited documents are rejected, and
+    the first bad entry decides the message.
+    """
+    n = draw(st.integers(2, 5))
+    top = 1 << (n - 1)
+    convention = draw(st.sampled_from(["canonical", "full", None]))
+    classes = draw(st.lists(st.integers(0, top - 1), unique=True, max_size=top))
+    entries = []
+    for k in classes:
+        if convention == "full" and draw(st.booleans()):
+            k ^= (top << 1) - 1
+        w = draw(st.sampled_from([0.0, 0.5, 1.0])) / len(classes)
+        entries.append({"beta": format(k, f"0{n}b"), "plus": w, "minus": 1.0 / len(classes) - w})
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(EDITS))
+        pos = draw(st.integers(0, len(entries)))
+        field = draw(st.sampled_from(["plus", "minus"]))
+        # the entry an edit copies or changes; inserted non-objects are left alone
+        target = entries[pos % len(entries)] if entries else None
+        if not isinstance(target, dict):
+            target = None
+        if edit in ("same", "clamp", "conflict") and target is not None:
+            entry = dict(target)
+            beta = entry.get("beta")
+            if isinstance(beta, str) and beta.strip("01") == "" and draw(st.booleans()):
+                entry["beta"] = beta.translate(str.maketrans("01", "10"))
+            if edit != "same" and isinstance(entry.get(field), float):
+                shift = {"clamp": (5e-13, -5e-13), "conflict": (0.125, math.nan, math.inf)}[edit]
+                entry[field] += draw(st.sampled_from(shift))
+            entries.insert(pos, entry)
+        elif edit == "weight" and target is not None:
+            target[field] = draw(st.sampled_from(ODD_WEIGHTS))
+        elif edit == "drop" and target is not None:
+            target.pop(field, None)
+        elif edit == "beta":
+            odd = ODD_BETAS + ("0" * (n - 1), "0" * (n + 1), "1" + "0" * (n - 1))
+            entry = {"beta": draw(st.sampled_from(odd))} if draw(st.booleans()) else {}
+            entries.insert(pos, {**entry, "plus": 1.0})
+        elif edit == "object":
+            entries.insert(pos, draw(st.sampled_from(NON_DICT_ENTRIES)))
+    doc = {"n": n, "weights": entries}
+    if convention is not None:
+        doc["convention"] = convention
+    return doc
+
+
+def _parse_outcome(parse, doc):
+    try:
+        state = parse(doc)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "state", state.lambda_plus.tobytes(), state.lambda_minus.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(weight_documents())
+def test_columnar_parse_equals_per_entry_reference(doc):
+    assert _parse_outcome(state_from_json_dict, doc) == _parse_outcome(
+        reference_state_from_json_dict, doc
+    )
+
+
+def test_parse_of_n18_document_builds_no_wide_digit_matrix():
+    # An int64 matrix of the 2^17 x 18 digits alone would take 18.9 MB.
+    doc = state_to_json_dict(random_state(18, 0))
+    tracemalloc.start()
+    try:
+        state = state_from_json_dict(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
+    assert state == random_state(18, 0)
