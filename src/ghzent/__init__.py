@@ -50,7 +50,6 @@ from .oracle import (
     eigenvalues_symmetric,
     is_ppt_dense,
     partial_transpose,
-    pt_spectrum_vs_coefficients,
 )
 
 __version__ = "0.1.0"
@@ -84,6 +83,5 @@ __all__ = [
     "partial_transpose",
     "eigenvalues_symmetric",
     "is_ppt_dense",
-    "pt_spectrum_vs_coefficients",
     "__version__",
 ]

@@ -27,14 +27,14 @@ from .analytic import (  # noqa: F401
     COEFFICIENT_NAMES,
     COEFFICIENT_TOL,
     classify,
+    coefficient_arrays,
     full_entanglement_threshold,
     noise_threshold,
     partition_thresholds,
 )
 from .oracle import (
-    is_ppt_dense,
-    pt_spectrum_vs_coefficients,
     eigenvalues_symmetric,
+    is_ppt_dense,
     partial_transpose,
 )
 from .state import (
@@ -48,6 +48,7 @@ from .state import (
     to_dense,
 )
 from .subsets import (
+    Bipartition,
     bipartition_bit_strings,
     bit_strings,
     enumerate_bipartitions,
@@ -80,19 +81,26 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-# json.dumps(..., indent=2) of the dict forms (for classify, the report's
-# to_json_dict()), written row by row from the columns. Floats go through
-# repr, as in json.dumps; every value here is finite.
-_CLASSIFY_ROW = (
-    '    {\n      "alpha1": "%s",\n      "ppt": %s,\n      "worst": {\n'
-    '        "beta": "%s",\n        "coeff": "%s",\n        "value": %r\n      }\n    }'
-)
-_THRESHOLD_ROW = '    {\n      "alpha1": "%s",\n      "threshold": %r\n    }'
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _json_document(fields: str, rows) -> str:
-    return f'{{\n{fields},\n  "partitions": [\n' + ",\n".join(rows) + "\n  ]\n}"
+def _json_document(fields: str, row: tuple, count: int) -> str:
+    """json.dumps(..., indent=2) of a dict of ``fields`` and a "partitions" list.
+
+    ``row`` is one list entry as it is written, with its trailing ",\n":
+    literal strings and columns of ``count`` strings, in order.  Each piece
+    fills every len(row)-th slot of one list, which is joined once.  The
+    callers write floats with repr, as json.dumps writes finite floats, and
+    every value they write is finite.
+    """
+    k = len(row)
+    parts = [""] * (k * count + 2)
+    parts[0] = f'{{\n{fields},\n  "partitions": [\n'
+    for i, piece in enumerate(row):
+        parts[1 + i : -1 : k] = [piece] * count if isinstance(piece, str) else piece
+    parts[-2] = parts[-2][:-2]  # no comma after the last row
+    parts[-1] = "\n  ]\n}"
+    return "".join(parts)
 
 
 def cmd_classify(args) -> int:
@@ -102,17 +110,20 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         fields = f'  "n": {n},\n  "full_entangled": {_JSON_BOOL[report.full_entangled]}'
         ppt, _, codes, values = report.columns()
-        rows = map(
-            _CLASSIFY_ROW.__mod__,
-            zip(
-                bipartition_bit_strings(n),
-                map(_JSON_BOOL.__getitem__, ppt),
-                bit_strings(report.classes, n),
-                map(COEFFICIENT_NAMES.__getitem__, codes),
-                values,
-            ),
+        row = (
+            '    {\n      "alpha1": "',
+            bipartition_bit_strings(n),
+            '",\n      "ppt": ',
+            list(map(_JSON_BOOL.__getitem__, ppt)),
+            ',\n      "worst": {\n        "beta": "',
+            bit_strings(report.classes, n),
+            '",\n        "coeff": "',
+            list(map(COEFFICIENT_NAMES.__getitem__, codes)),
+            '",\n        "value": ',
+            list(map(repr, values)),
+            "\n      }\n    },\n",
         )
-        print(_json_document(fields, rows))
+        print(_json_document(fields, row, len(values)))
     else:
         ppt_count = int(report.ppt.sum())
         total = len(report.partitions)
@@ -127,6 +138,23 @@ def cmd_classify(args) -> int:
         verdict = "fully entangled" if report.full_entangled else "not fully entangled"
         print(f"verdict: {verdict} ({ppt_count}/{total} partitions PPT)")
     return EXIT_FULL_ENTANGLED if report.full_entangled else EXIT_NOT_FULL_ENTANGLED
+
+
+def pt_spectrum_vs_coefficients(state: GhzDiagonalState, partition: Bipartition) -> float:
+    """Max deviation between the dense PT spectrum and the halved coefficients.
+
+    The four block coefficients of one representative per complementary
+    class pair, divided by two, form the complete partial-transpose
+    spectrum; this returns the worst mismatch after sorting both sides.
+    It lives here, not in the oracle, because it reads the analytic
+    coefficients, and the oracle must not.
+    """
+    b, c, d, e = coefficient_arrays(state, partition)
+    k = np.arange(b.size)
+    rep = k < (k ^ partition.alpha2.bits)
+    analytic = np.sort(np.concatenate([b[rep], c[rep], d[rep], e[rep]]) / 2.0)
+    dense = eigenvalues_symmetric(partial_transpose(to_dense(state), partition.alpha1)).eigenvalues
+    return float(np.max(np.abs(analytic - dense)))
 
 
 def cmd_oracle_check(args) -> int:
@@ -195,9 +223,10 @@ def cmd_threshold(args) -> int:
     state = load_state(_read_input(args.input))
     thresholds = partition_thresholds(state)
     overall = float(thresholds.min())
-    pure = GhzDiagonalState.pure_ghz(state.n)
+    plus, minus = state.lambda_plus, state.lambda_minus
     ghz_closed_form = None
-    if state == pure:
+    # state == GhzDiagonalState.pure_ghz(n), read off the weights in place
+    if plus[0] == 1.0 and np.count_nonzero(plus) == 1 and not minus.any():
         dim = 1 << state.n
         ghz_closed_form = dim / (dim + 2)
     if args.format == "json":
@@ -205,10 +234,14 @@ def cmd_threshold(args) -> int:
             f'  "n": {state.n},\n  "full_entanglement_threshold": {overall!r},\n'
             f'  "ghz_closed_form": {"null" if ghz_closed_form is None else repr(ghz_closed_form)}'
         )
-        rows = map(
-            _THRESHOLD_ROW.__mod__, zip(bipartition_bit_strings(state.n), thresholds.tolist())
+        row = (
+            '    {\n      "alpha1": "',
+            bipartition_bit_strings(state.n),
+            '",\n      "threshold": ',
+            list(map(repr, thresholds.tolist())),
+            "\n    },\n",
         )
-        print(_json_document(fields, rows))
+        print(_json_document(fields, row, thresholds.size))
     else:
         print(f"n = {state.n}")
         for p, t in zip(enumerate_bipartitions(state.n), thresholds.tolist()):

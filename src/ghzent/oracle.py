@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import COEFFICIENT_TOL, coefficient_arrays
 from .state import DenseOperator, GhzDiagonalState, to_dense
 from .subsets import Bipartition, SubsetMask
 
@@ -21,14 +20,16 @@ from .subsets import Bipartition, SubsetMask
 class OracleTolerances:
     """The oracle's PSD tolerance.
 
-    ``psd_tol`` is the analytic ``COEFFICIENT_TOL`` in eigenvalue units:
-    partial-transpose eigenvalues are half the block coefficients, so both
-    routes draw the PPT line at the same states.  It must be positive: the
-    Cholesky test fails on a singular matrix, so at 0 it would call a
-    partial transpose with a zero eigenvalue NPT.
+    ``psd_tol`` is the analytic ``COEFFICIENT_TOL`` (1e-12) in eigenvalue
+    units: partial-transpose eigenvalues are half the block coefficients, so
+    both routes draw the PPT line at the same states.  It is a literal
+    because this module imports nothing from ``analytic``; a test pins the
+    two together.  It must be positive: the Cholesky test fails on a
+    singular matrix, so at 0 it would call a partial transpose with a zero
+    eigenvalue NPT.
     """
 
-    psd_tol: float = COEFFICIENT_TOL / 2
+    psd_tol: float = 5e-13
 
     def __post_init__(self) -> None:
         if not 0.0 < self.psd_tol < float("inf"):
@@ -112,18 +113,3 @@ def is_ppt_dense(
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def pt_spectrum_vs_coefficients(state: GhzDiagonalState, partition: Bipartition) -> float:
-    """Max deviation between the dense PT spectrum and the halved coefficients.
-
-    The four block coefficients of one representative per complementary
-    class pair, divided by two, form the complete partial-transpose
-    spectrum; this returns the worst mismatch after sorting both sides.
-    """
-    b, c, d, e = coefficient_arrays(state, partition)
-    k = np.arange(b.size)
-    rep = k < (k ^ partition.alpha2.bits)
-    analytic = np.sort(np.concatenate([b[rep], c[rep], d[rep], e[rep]]) / 2.0)
-    dense = eigenvalues_symmetric(partial_transpose(to_dense(state), partition.alpha1)).eigenvalues
-    return float(np.max(np.abs(analytic - dense)))

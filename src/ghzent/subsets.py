@@ -105,14 +105,13 @@ def bit_strings(masks, n: int) -> list[str]:
     """``SubsetMask(m, n).bit_string()`` of every mask in an int array, in order.
 
     Each mask is unpacked as four big-endian bytes, so its last n bits come
-    out most significant first; all digits go into one ASCII buffer, which
-    is then cut into n-character strings.
+    out most significant first.  They go into one ASCII buffer as rows of n
+    digits and a space, which is decoded once and split at the spaces.
     """
-    digits = np.unpackbits(np.asarray(masks, dtype=">u4").view(np.uint8).reshape(-1, 4), axis=1)
-    digits = digits[:, 32 - n :]
-    digits |= ord("0")
-    text = digits.tobytes().decode("ascii")
-    return [text[i : i + n] for i in range(0, len(text), n)]
+    bits = np.unpackbits(np.asarray(masks, dtype=">u4").view(np.uint8).reshape(-1, 4), axis=1)
+    text = np.full((bits.shape[0], n + 1), ord(" "), dtype=np.uint8)
+    np.bitwise_or(bits[:, 32 - n :], ord("0"), out=text[:, :n])
+    return text.tobytes().decode("ascii").split()
 
 
 def bipartition_bit_strings(n: int) -> list[str]:

@@ -2,7 +2,10 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ghzent.analytic import classify, partition_thresholds
 from ghzent.cli import BENCH_CSV_HEADER, build_parser, main
@@ -424,11 +427,7 @@ def _threshold_dict(state):
     }
 
 
-@pytest.mark.parametrize(
-    "doc", [pytest.param(doc, id=label) for label, doc in _byte_identity_corpus()]
-)
-def test_json_output_equals_json_dumps_of_dict_form(capsys, doc):
-    text = json.dumps(doc)
+def assert_json_output_equals_json_dumps(capsys, text):
     state = load_state(text)
     report = classify(state)
     rc, out, err = run(capsys, "classify", "--input", text, "--format", "json")
@@ -439,6 +438,91 @@ def test_json_output_equals_json_dumps_of_dict_form(capsys, doc):
     rc, out, err = run(capsys, "threshold", "--input", text, "--format", "json")
     assert (rc, err) == (0, "")
     assert out == json.dumps(_threshold_dict(state), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc", [pytest.param(doc, id=label) for label, doc in _byte_identity_corpus()]
+)
+def test_json_output_equals_json_dumps_of_dict_form(capsys, doc):
+    assert_json_output_equals_json_dumps(capsys, json.dumps(doc))
+
+
+@st.composite
+def cli_states(draw):
+    """Random, quantised ({0..3}, normalised) and depolarised states, n = 2..9.
+
+    Quantised weights tie witnesses and reach pure GHZ; depolarised ones
+    reach all-PPT reports.
+    """
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(("random", "quantised", "depolarised")))
+    if kind == "quantised":
+        half = 1 << (n - 1)
+        levels = st.lists(st.integers(0, 3), min_size=2 * half, max_size=2 * half)
+        weights = np.array(draw(levels.filter(any)), dtype=float).reshape(2, half)
+        return GhzDiagonalState(n, *(weights / weights.sum()))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "random":
+        return random_state(n, seed)
+    base = draw(st.sampled_from((random_state(n, seed), GhzDiagonalState.pure_ghz(n))))
+    return mix_with_white_noise(base, draw(st.floats(0.0, 1.0)))
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(cli_states())
+def test_json_output_equals_json_dumps_on_generated_states(capsys, state):
+    # run() drains capsys on every call, so examples cannot see each other's output
+    assert_json_output_equals_json_dumps(capsys, json.dumps(state_to_json_dict(state)))
+
+
+def _weights_doc(n, plus, minus):
+    """A canonical-convention document with one entry per class."""
+    return json.dumps(
+        {
+            "n": n,
+            "weights": [
+                {"beta": format(k, f"0{n}b"), "plus": p, "minus": m}
+                for k, (p, m) in enumerate(zip(plus, minus))
+            ],
+        }
+    )
+
+
+def _pure_ghz_cases():
+    """(label, document, whether it is pure GHZ)."""
+    for n in range(2, 7):
+        yield f"pure-n{n}", json.dumps(state_to_json_dict(GhzDiagonalState.pure_ghz(n))), True
+    for n in (3, 5):
+        half = 1 << (n - 1)
+        zeros = [0.0] * half
+        first, second = [1.0] + zeros[1:], [0.0, 1.0] + zeros[2:]
+        noisy = mix_with_white_noise(GhzDiagonalState.pure_ghz(n), 1e-15)
+        yield f"noise-n{n}", json.dumps(state_to_json_dict(noisy)), False
+        yield f"minus-n{n}", _weights_doc(n, zeros, first), False
+        yield f"other-class-n{n}", _weights_doc(n, second, zeros), False
+        yield f"negative-zero-n{n}", _weights_doc(n, first, [-0.0] * half), True
+        # weight 1 on the GHZ vector and 1e-15 elsewhere, within normalisation
+        yield f"plus-tail-n{n}", _weights_doc(n, [1.0] + zeros[2:] + [1e-15], zeros), False
+        yield f"minus-tail-n{n}", _weights_doc(n, first, zeros[1:] + [1e-15]), False
+
+
+@pytest.mark.parametrize(
+    "text, pure", [pytest.param(t, pure, id=label) for label, t, pure in _pure_ghz_cases()]
+)
+def test_threshold_closed_form_only_for_pure_ghz(capsys, text, pure):
+    state = load_state(text)
+    assert (state == GhzDiagonalState.pure_ghz(state.n)) == pure
+    dim = 1 << state.n
+    rc, out, _ = run(capsys, "threshold", "--input", text, "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["ghz_closed_form"] == (dim / (dim + 2) if pure else None)
+    rc, out, _ = run(capsys, "threshold", "--input", text)
+    assert rc == 0
+    line = f"pure GHZ input: closed form 2^n/(2^n+2) = {dim / (dim + 2):.12g}\n"
+    assert out.endswith(line) == pure
+    assert ("pure GHZ" in out) == pure
 
 
 def test_parser_reuse_carries_nothing_between_calls(capsys):

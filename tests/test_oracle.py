@@ -1,16 +1,20 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import ghzent.oracle
 import ghzent.state
 from ghzent.analytic import COEFFICIENT_TOL, classify
+from ghzent.cli import pt_spectrum_vs_coefficients
 from ghzent.oracle import (
     DEFAULT_ORACLE,
     OracleTolerances,
     eigenvalues_symmetric,
     is_ppt_dense,
     partial_transpose,
-    pt_spectrum_vs_coefficients,
 )
 from ghzent.state import (
     DenseOperator,
@@ -227,6 +231,21 @@ def test_is_ppt_dense_returns_the_eigenvalue_rule_on_sparse_weights(state):
 
 def test_default_psd_tol_is_the_coefficient_tolerance_in_eigenvalue_units():
     assert DEFAULT_ORACLE.psd_tol == COEFFICIENT_TOL / 2
+
+
+def test_oracle_module_imports_nothing_from_analytic():
+    # Read from the source: importing ghzent.oracle runs ghzent/__init__,
+    # which imports analytic whatever the oracle does.
+    path = Path(ghzent.oracle.__file__)
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert ".state" in imported  # the walk sees the module's relative imports
+    assert not {".analytic", "analytic", "ghzent.analytic"} & imported
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-12, float("nan"), float("inf")])

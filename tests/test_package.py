@@ -30,13 +30,12 @@ PUBLIC_NAMES = {
     "partial_transpose",
     "eigenvalues_symmetric",
     "is_ppt_dense",
-    "pt_spectrum_vs_coefficients",
     "__version__",
 }
 
 
 def test_public_names_are_pinned():
-    assert len(ghzent.__all__) == len(PUBLIC_NAMES) == 30
+    assert len(ghzent.__all__) == len(PUBLIC_NAMES) == 29
     assert set(ghzent.__all__) == PUBLIC_NAMES
     for name in ghzent.__all__:
         assert hasattr(ghzent, name), name

@@ -156,10 +156,15 @@ def test_two_qubit_single_cut():
     assert parts[0].split_string() == "1|2"
 
 
-@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
 def test_bit_strings_match_format(n):
-    masks = np.arange(1 << n)
-    assert bit_strings(masks, n) == [format(m, f"0{n}b") for m in range(1 << n)]
+    if n <= 14:
+        masks = np.arange(1 << n)
+    else:
+        # 0, 1, the top bit, all ones, and 64 seeded random masks
+        edges = [0, 1, 1 << (n - 1), (1 << n) - 1]
+        masks = np.concatenate([edges, np.random.default_rng(n).integers(0, 1 << n, size=64)])
+    assert bit_strings(masks, n) == [format(m, f"0{n}b") for m in masks.tolist()]
     assert bit_strings(np.array([], dtype=np.int64), n) == []
     top = (1 << n) - 1
     assert bit_strings(np.array([0, top, 0]), n) == ["0" * n, "1" * n, "0" * n]
