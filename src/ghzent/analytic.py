@@ -176,16 +176,17 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
     pairs from two sides, a block of classes against every open cut at
     once: rows j in decreasing |d_j| and partners k in increasing s_k, ties
     to the smaller class, each block from the side whose next block raises
-    s_next - |d_next| more.  A side is sorted only on a prefix, and until
-    it is first visited it finds its key one block on by selection.  A
-    pair not yet evaluated is unvisited on both sides, so it is no smaller
-    than s_next - |d_next|, and a cut is closed once that bound, less a
-    few-ulp margin, exceeds its minimum.  Near that point the bound is made
-    exact by putting the extremes of the unvisited operands into the
-    formulas' operation order; a cut whose minimum equals it can only move
-    its witness to a smaller row, and those rows are checked directly.
-    Weights that tie in both s and |d|, such as quantised ones, still
-    evaluate O(4^n) pairs.
+    s_next - |d_next| more.  A side is sorted only on a prefix: before
+    each block, either side whose prefix does not reach its key one block
+    on is ranked to twice that position, and the key is read from the
+    prefix.  A pair not yet evaluated is unvisited on both sides, so it is
+    no smaller than s_next - |d_next|, and a cut is closed once that bound,
+    less a few-ulp margin, exceeds its minimum.  Near that point the bound
+    is made exact by putting the extremes of the unvisited operands into
+    the formulas' operation order; a cut whose minimum equals it can only
+    move its witness to a smaller row, and those rows are checked
+    directly.  Weights that tie in both s and |d|, such as quantised ones,
+    still evaluate O(4^n) pairs.
     """
     lp = state.lambda_plus
     lm = state.lambda_minus
@@ -239,17 +240,11 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
         ahead = []  # each side's key one block on
         for t in (0, 1):
             i = pos[t] + step
-            if pos[t] and ranked[t] <= i < n_cls:  # visited: keep it sorted past i
+            if ranked[t] <= i < n_cls:  # keep the side sorted past i
                 ranked[t] = _rank_prefix(keys[t], orders[t], ranked[t], 2 * i)
-            ahead.append(
-                np.inf if i >= n_cls
-                else keys[t][orders[t][i]] if i < ranked[t]
-                else np.partition(keys[t], i)[i]  # not yet visited: still in class order
-            )
+            ahead.append(keys[t][orders[t][i]] if i < n_cls else np.inf)
         t = int(ahead[1] - s_next > ahead[0] - d_next)
         end = min(pos[t] + step, n_cls)
-        if ranked[t] <= end < n_cls:  # first visit
-            ranked[t] = _rank_prefix(keys[t], orders[t], ranked[t], end + 1)
         block = orders[t][pos[t] : end, None]
         pos[t], nxt[t] = end, ahead[t]
         cut = alpha2[live]
@@ -272,13 +267,7 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
         coef_d -= lm_j
         np.minimum(cd, coef_d, out=cd)
         low = np.minimum(be.min(axis=0), cd.min(axis=0))
-        # A block changes a cut only by lowering its minimum or by tying it
-        # in a smaller row; skip the row search when it does neither.
         held = best[live]
-        at = row[live]
-        reach = np.minimum(j.min(axis=0), k.min(axis=0))
-        if not ((low < held) | ((low == held) & (reach < at))).any():
-            continue
         # With the rows shifted below zero, the smallest row holding low in
         # a column is the column minimum of (value == low) * (row - n_cls).
         other -= n_cls
@@ -287,7 +276,7 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
             np.multiply(be == low, j_off, out=hits).min(axis=0),
             np.multiply(cd == low, k_off, out=hits).min(axis=0),
         )
-        take = (low < held) | ((low == held) & (first < at))
+        take = (low < held) | ((low == held) & (first < row[live]))
         best[live[take]] = low[take]
         row[live[take]] = first[take]
     partner = row ^ alpha2
@@ -309,12 +298,11 @@ def _rank_prefix(key, order, ranked, m) -> int:
     ``order[ranked:]`` is in increasing class order.  Afterwards
     ``order[:m]`` is the start of the stable argsort of ``key``, ties going
     to the smaller class, so tied classes are met smallest first, and the
-    rest is still in increasing class order.  Selecting pays off only for a
-    prefix that is a small share of the tail; otherwise the whole tail is
-    sorted.  Returns the new prefix length.
+    rest is still in increasing class order.  The prefix is picked out by
+    selection and only it is sorted; an ``m`` past the end sorts the whole
+    tail.  Returns the new prefix length.
     """
-    if order.size - ranked <= 64 * (m - ranked):
-        m = order.size
+    m = min(m, order.size)
     tail = order[ranked:]
     keys = key[tail]
     if m < order.size:

@@ -61,7 +61,8 @@ class GhzDiagonalState:
         _check_qubit_count(n)
         lp = _clean_weights(lambda_plus, n, "lambda_plus")
         lm = _clean_weights(lambda_minus, n, "lambda_minus")
-        total = float(lp.sum() + lm.sum())
+        with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+            total = float(lp.sum() + lm.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"bad normalization: weights sum to {total}, expected 1")
         self._n = n
@@ -298,7 +299,7 @@ def _weight_columns(entries: list, n: int, convention: str):
         lead = first[k]
         repeat = lead != pos
         for col in (plus, minus):
-            with np.errstate(invalid="ignore"):  # inf - inf
+            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or past max
                 agree = np.abs(col[lead[repeat]] - col[repeat]) <= WEIGHT_CLAMP
             if not agree.all():
                 return None

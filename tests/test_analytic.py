@@ -16,6 +16,7 @@ from ghzent.analytic import (
     noise_threshold,
     partition_minima,
     partition_thresholds,
+    _rank_prefix,
 )
 from ghzent.oracle import eigenvalues_symmetric, is_ppt_dense, partial_transpose
 from ghzent.state import (
@@ -455,9 +456,10 @@ def scan_corpus():
 
 
 def large_scan_corpus():
-    # From n = 12 on, the unsorted tail of a side can exceed 64 times the
-    # prefix it is asked for, so ranking goes through selection and its tie
-    # fill at the edge key instead of one full sort.
+    # The benchmark's size and one past it.  Selection ranks every prefix at
+    # every n, but only from here on is a side's prefix a small share of its
+    # keys, so runs of tied keys meet the tie fill at the edge key far from
+    # the end of the side.
     n = 12
     p_star = (1 << n) / ((1 << n) + 2)
     for seed in range(2):
@@ -526,6 +528,26 @@ def quantised_states(draw):
 @given(quantised_states())
 def test_partition_minima_matches_reference_on_quantised_weights(state):
     assert_minima_match_reference(state)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 65, 100, 1000, 2048, 4095, 4096])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "levels"])
+@pytest.mark.parametrize("past_end", [False, True], ids=["to-size", "past-size"])
+def test_rank_prefix_extends_the_stable_argsort(size, ties, past_end):
+    rng = np.random.default_rng(size)
+    key = rng.integers(0, 4, size).astype(float) if ties else rng.standard_normal(size)
+    stable = np.argsort(key, kind="stable")
+    order = np.arange(size)
+    # m = 1, 2, 4, ... while short of size, then size itself or twice it
+    steps = [1 << b for b in range((size - 1).bit_length())]
+    ranked = 0
+    for m in [*steps, 2 * size if past_end else size]:
+        ranked = _rank_prefix(key, order, ranked, m)
+        assert ranked == min(m, size)
+        assert np.array_equal(order[:ranked], stable[:ranked])
+        assert (np.diff(order[ranked:]) > 0).all()  # the rest in increasing class order
+        assert np.array_equal(np.sort(order), np.arange(size))
+    assert ranked == size
 
 
 def test_partition_minima_tie_break_on_flat_weights():

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,35 @@ def test_non_finite_weights_and_non_integer_n_exit_two(capsys, command, text):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"n":2,"weights":[{"beta":"00","plus":1e308},{"beta":"01","plus":1e308}]}',
+            "bad normalization: weights sum to inf, expected 1",
+        ),
+        (
+            '{"n":2,"weights":[{"beta":"00","plus":1e308,"minus":1e308}]}',
+            "bad normalization: weights sum to inf, expected 1",
+        ),
+        (
+            '{"n":2,"convention":"full","weights":'
+            '[{"beta":"00","plus":1e308},{"beta":"11","plus":-1e308}]}',
+            "field 'weights[1].beta' repeats class 00 with conflicting values",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["classify", "threshold"])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_overflowing_weights_exit_two_with_one_error_line(capsys, command, fmt, text, message):
+    # Sums and differences past the float range overflow to inf inside
+    # numpy; that must reach the user as the error line alone, no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(capsys, command, "--input", text, "--format", fmt)
+    assert result == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["classify", "threshold"])
