@@ -43,6 +43,18 @@ def xor(a: SubsetMask, b: SubsetMask) -> SubsetMask:
     return SubsetMask(a.bits ^ b.bits, a.n)
 
 
+def qubits(mask: SubsetMask) -> tuple[int, ...]:
+    """The qubits a mask contains, in increasing order."""
+    return tuple(m for m in range(1, mask.n + 1) if mask.bits >> (mask.n - m) & 1)
+
+
+def reference_split_string(partition: Bipartition) -> str:
+    """``1|234``: each side's qubits read off its mask, commas past 9 qubits."""
+    sep = "" if partition.n <= 9 else ","
+    sides = (partition.alpha1, partition.alpha2)
+    return "|".join(sep.join(map(str, qubits(side))) for side in sides)
+
+
 def canonical_beta(beta: SubsetMask) -> SubsetMask:
     """The representative of {beta, complement} that excludes qubit 1."""
     return beta.complement() if beta.contains(1) else beta

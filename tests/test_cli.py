@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ghz_reference import reference_split_string
 from ghzent.analytic import classify, partition_thresholds
 from ghzent.cli import BENCH_CSV_HEADER, build_parser, main
 from ghzent.state import (
@@ -457,6 +458,36 @@ def _threshold_dict(state):
     }
 
 
+def _classify_table(report):
+    """``classify --format table`` as the per-cut objects render it."""
+    total = len(report.partitions)
+    ppt_count = sum(v.is_ppt for v in report.partitions)
+    lines = [f"n = {report.n}, partitions = {total}"]
+    for v in report.partitions:
+        w = v.worst
+        status = "PPT (biseparable)" if v.is_ppt else "NPT"
+        lines.append(
+            f"  {reference_split_string(v.partition):>15}  {status:<18} "
+            f"worst {w.coefficient}[{w.beta.bit_string()}] = {w.value:+.12g}"
+        )
+    verdict = "fully entangled" if report.full_entangled else "not fully entangled"
+    lines.append(f"verdict: {verdict} ({ppt_count}/{total} partitions PPT)")
+    return "\n".join(lines) + "\n"
+
+
+def _threshold_table(state):
+    """``threshold --format table`` as one line per ``Bipartition`` renders it."""
+    thresholds = partition_thresholds(state)
+    lines = [f"n = {state.n}"]
+    for p, t in zip(enumerate_bipartitions(state.n), thresholds.tolist()):
+        lines.append(f"  {reference_split_string(p):>15}  threshold = {t:.12g}")
+    lines.append(f"full-entanglement threshold = {float(thresholds.min()):.12g}")
+    if state == GhzDiagonalState.pure_ghz(state.n):
+        dim = 1 << state.n
+        lines.append(f"pure GHZ input: closed form 2^n/(2^n+2) = {dim / (dim + 2):.12g}")
+    return "\n".join(lines) + "\n"
+
+
 def assert_json_output_equals_json_dumps(capsys, text):
     state = load_state(text)
     report = classify(state)
@@ -475,6 +506,45 @@ def assert_json_output_equals_json_dumps(capsys, text):
 )
 def test_json_output_equals_json_dumps_of_dict_form(capsys, doc):
     assert_json_output_equals_json_dumps(capsys, json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "doc", [pytest.param(doc, id=label) for label, doc in _byte_identity_corpus()]
+)
+def test_table_output_equals_per_cut_rendering(capsys, doc):
+    text = json.dumps(doc)
+    state = load_state(text)
+    for tol_flag, report in (((), classify(state)), (("--tol", "0.5"), classify(state, tol=0.5))):
+        expected = (0 if report.full_entangled else 1, _classify_table(report), "")
+        assert run(capsys, "classify", "--input", text, "--format", "table", *tol_flag) == expected
+    expected = (0, _threshold_table(state), "")
+    assert run(capsys, "threshold", "--input", text, "--format", "table") == expected
+
+
+def test_table_lines_are_pinned(capsys):
+    assert run(capsys, "classify", "--input", PURE_GHZ_3) == (
+        0,
+        "n = 3, partitions = 3\n"
+        "             1|23  NPT                worst E[000] = -1\n"
+        "             13|2  NPT                worst E[000] = -1\n"
+        "             12|3  NPT                worst E[000] = -1\n"
+        "verdict: fully entangled (0/3 partitions PPT)\n",
+        "",
+    )
+    # n = 10: the qubit labels switch to commas
+    text = json.dumps(state_to_json_dict(random_state(10, 0)))
+    rc, out, _ = run(capsys, "classify", "--input", text, "--tol", "0.5")
+    lines = out.splitlines()
+    assert (rc, len(lines)) == (1, 513)
+    assert lines[1] == (
+        "  1|2,3,4,5,6,7,8,9,10  PPT (biseparable)  worst D[0101101100] = -0.00692973303341"
+    )
+    assert lines[-1] == "verdict: not fully entangled (511/511 partitions PPT)"
+    rc, out, _ = run(capsys, "threshold", "--input", text)
+    lines = out.splitlines()
+    assert (rc, len(lines)) == (0, 513)
+    assert lines[2] == "  1,10|2,3,4,5,6,7,8,9  threshold = 0.794987548145"
+    assert lines[-1] == "full-entanglement threshold = 0.693360731119"
 
 
 @st.composite
