@@ -52,6 +52,7 @@ from .subsets import (
     bipartition_bit_strings,
     bit_strings,
     enumerate_bipartitions,
+    split_string,
 )
 
 EXIT_FULL_ENTANGLED = 0
@@ -107,45 +108,42 @@ def cmd_classify(args) -> int:
     state = load_state(_read_input(args.input))
     report = classify(state, tol=args.tol)
     n = report.n
+    alpha1 = bipartition_bit_strings(n)
+    ppt, _, codes, values = report.columns()
+    betas = bit_strings(report.classes, n)
+    coeffs = list(map(COEFFICIENT_NAMES.__getitem__, codes))
     if args.format == "json":
         fields = f'  "n": {n},\n  "full_entangled": {_JSON_BOOL[report.full_entangled]}'
-        ppt, _, codes, values = report.columns()
         row = (
             '    {\n      "alpha1": "',
-            bipartition_bit_strings(n),
+            alpha1,
             '",\n      "ppt": ',
             list(map(_JSON_BOOL.__getitem__, ppt)),
             ',\n      "worst": {\n        "beta": "',
-            bit_strings(report.classes, n),
+            betas,
             '",\n        "coeff": "',
-            list(map(COEFFICIENT_NAMES.__getitem__, codes)),
+            coeffs,
             '",\n        "value": ',
             list(map(repr, values)),
             "\n      }\n    },\n",
         )
         print(_json_document(fields, row, len(values)))
     else:
-        ppt_count = int(report.ppt.sum())
-        total = len(report.partitions)
-        print(f"n = {n}, partitions = {total}")
-        for v in report.partitions:
-            w = v.worst
-            status = "PPT (biseparable)" if v.is_ppt else "NPT"
-            print(
-                f"  {v.partition.split_string():>15}  {status:<18} "
-                f"worst {w.coefficient}[{w.beta.bit_string()}] = {w.value:+.12g}"
-            )
+        print(f"n = {n}, partitions = {len(values)}")
+        status = map(("NPT", "PPT (biseparable)").__getitem__, ppt)
+        line = "  {:>15}  {:<18} worst {}[{}] = {:+.12g}".format
+        print("\n".join(map(line, map(split_string, alpha1), status, coeffs, betas, values)))
         verdict = "fully entangled" if report.full_entangled else "not fully entangled"
-        print(f"verdict: {verdict} ({ppt_count}/{total} partitions PPT)")
+        print(f"verdict: {verdict} ({sum(ppt)}/{len(values)} partitions PPT)")
     return EXIT_FULL_ENTANGLED if report.full_entangled else EXIT_NOT_FULL_ENTANGLED
 
 
-def pt_spectrum_vs_coefficients(state: GhzDiagonalState, partition: Bipartition) -> float:
-    """Max deviation between the dense PT spectrum and the halved coefficients.
+def pt_spectrum_vs_coefficients(state: GhzDiagonalState, partition: Bipartition, dense) -> float:
+    """Max deviation of the halved coefficients from ``dense``, the ascending PT spectrum.
 
     The four block coefficients of one representative per complementary
     class pair, divided by two, form the complete partial-transpose
-    spectrum; this returns the worst mismatch after sorting both sides.
+    spectrum; this returns the worst mismatch after sorting them.
     It lives here, not in the oracle, because it reads the analytic
     coefficients, and the oracle must not.
     """
@@ -153,7 +151,6 @@ def pt_spectrum_vs_coefficients(state: GhzDiagonalState, partition: Bipartition)
     k = np.arange(b.size)
     rep = k < (k ^ partition.alpha2.bits)
     analytic = np.sort(np.concatenate([b[rep], c[rep], d[rep], e[rep]]) / 2.0)
-    dense = eigenvalues_symmetric(partial_transpose(to_dense(state), partition.alpha1)).eigenvalues
     return float(np.max(np.abs(analytic - dense)))
 
 
@@ -179,9 +176,8 @@ def cmd_oracle_check(args) -> int:
             worst_margin = min(worst_margin, abs(spectrum.min_eigenvalue))
             max_residual = max(max_residual, spectrum.residual)
             if n == 2:
-                spectrum_deviation = max(
-                    spectrum_deviation, pt_spectrum_vs_coefficients(state, partition)
-                )
+                deviation = pt_spectrum_vs_coefficients(state, partition, spectrum.eigenvalues)
+                spectrum_deviation = max(spectrum_deviation, deviation)
     summary = {
         "n": n,
         "count": args.count,
@@ -222,6 +218,7 @@ def cmd_random(args) -> int:
 def cmd_threshold(args) -> int:
     state = load_state(_read_input(args.input))
     thresholds = partition_thresholds(state)
+    alpha1 = bipartition_bit_strings(state.n)
     overall = float(thresholds.min())
     plus, minus = state.lambda_plus, state.lambda_minus
     ghz_closed_form = None
@@ -236,7 +233,7 @@ def cmd_threshold(args) -> int:
         )
         row = (
             '    {\n      "alpha1": "',
-            bipartition_bit_strings(state.n),
+            alpha1,
             '",\n      "threshold": ',
             list(map(repr, thresholds.tolist())),
             "\n    },\n",
@@ -244,8 +241,8 @@ def cmd_threshold(args) -> int:
         print(_json_document(fields, row, thresholds.size))
     else:
         print(f"n = {state.n}")
-        for p, t in zip(enumerate_bipartitions(state.n), thresholds.tolist()):
-            print(f"  {p.split_string():>15}  threshold = {t:.12g}")
+        line = "  {:>15}  threshold = {:.12g}".format
+        print("\n".join(map(line, map(split_string, alpha1), thresholds.tolist())))
         print(f"full-entanglement threshold = {overall:.12g}")
         if ghz_closed_form is not None:
             print(f"pure GHZ input: closed form 2^n/(2^n+2) = {ghz_closed_form:.12g}")

@@ -37,10 +37,6 @@ class SubsetMask:
             raise ValueError(f"qubit {qubit} out of range 1..{self.n}")
         return bool(self.bits >> (self.n - qubit) & 1)
 
-    def qubits(self) -> tuple[int, ...]:
-        """The contained qubits in increasing order."""
-        return tuple(m for m in range(1, self.n + 1) if self.bits >> (self.n - m) & 1)
-
     @property
     def is_empty(self) -> bool:
         return self.bits == 0
@@ -84,13 +80,19 @@ class Bipartition:
 
     def split_string(self) -> str:
         """Human-readable split such as ``1|234`` (commas past 9 qubits)."""
-        sep = "" if self.n <= 9 else ","
-        left = sep.join(str(m) for m in self.alpha1.qubits())
-        right = sep.join(str(m) for m in self.alpha2.qubits())
-        return f"{left}|{right}"
+        return split_string(self.alpha1.bit_string())
 
     def __repr__(self) -> str:
         return f"Bipartition({self.split_string()!r})"
+
+
+def split_string(alpha1: str) -> str:
+    """The split ``1|234`` of the ``alpha1`` bit string ``1000``; commas past 9 qubits."""
+    sides = {"1": [], "0": []}
+    for m, bit in enumerate(alpha1, 1):
+        sides[bit].append(str(m))
+    sep = "" if len(alpha1) <= 9 else ","
+    return f"{sep.join(sides['1'])}|{sep.join(sides['0'])}"
 
 
 def enumerate_bipartitions(n: int) -> list[Bipartition]:

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ghz_reference import reference_split_string
-from ghzent.analytic import classify, partition_thresholds
+from ghzent.analytic import ClassificationReport, classify, partition_thresholds
 from ghzent.cli import BENCH_CSV_HEADER, build_parser, main
 from ghzent.state import (
     GhzDiagonalState,
@@ -18,7 +18,7 @@ from ghzent.state import (
     random_state,
     state_to_json_dict,
 )
-from ghzent.subsets import enumerate_bipartitions
+from ghzent.subsets import Bipartition, enumerate_bipartitions
 
 PURE_GHZ_3 = '{"n":3,"convention":"canonical","weights":[{"beta":"000","plus":1.0,"minus":0.0}]}'
 MIXED_2 = (
@@ -545,6 +545,27 @@ def test_table_lines_are_pinned(capsys):
     assert (rc, len(lines)) == (0, 513)
     assert lines[2] == "  1,10|2,3,4,5,6,7,8,9  threshold = 0.794987548145"
     assert lines[-1] == "full-entanglement threshold = 0.693360731119"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("command", ["classify", "threshold"])
+def test_cli_builds_no_per_cut_objects(capsys, monkeypatch, command, fmt):
+    # The CLI writes every output from the report's columns; a per-cut
+    # verdict, partition or split-string method must not be reached.
+    docs = [random_state(10, 0), GhzDiagonalState.maximally_mixed(4)]
+    argvs = [
+        [command, "--input", json.dumps(state_to_json_dict(state)), "--format", fmt]
+        for state in docs
+    ]
+    plain = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(*args):
+        raise AssertionError("the CLI built a per-cut object")
+
+    monkeypatch.setattr(ClassificationReport, "partitions", property(refuse))
+    monkeypatch.setattr("ghzent.cli.enumerate_bipartitions", refuse)
+    monkeypatch.setattr(Bipartition, "split_string", refuse)
+    assert [run(capsys, *argv) for argv in argvs] == plain
 
 
 @st.composite

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from ghz_reference import canonical_beta, enumerate_canonical_betas, mask_from_qubits, xor
+from ghz_reference import (
+    canonical_beta,
+    enumerate_canonical_betas,
+    mask_from_qubits,
+    qubits,
+    reference_split_string,
+    xor,
+)
 from ghzent.subsets import (
     MAX_QUBITS,
     Bipartition,
@@ -9,12 +16,13 @@ from ghzent.subsets import (
     bipartition_bit_strings,
     bit_strings,
     enumerate_bipartitions,
+    split_string,
 )
 
 
 def l_of_beta(beta: SubsetMask) -> int:
     """Basis index of a subset: sum of 2^(n-m) over contained qubits m."""
-    return sum(1 << (beta.n - m) for m in beta.qubits())
+    return sum(1 << (beta.n - m) for m in qubits(beta))
 
 
 def test_mask_construction_bounds():
@@ -44,13 +52,13 @@ def test_from_qubits_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(100):
         n = int(rng.integers(1, 13))
-        qubits = sorted(
+        chosen = sorted(
             int(q) for q in rng.choice(np.arange(1, n + 1), size=rng.integers(0, n + 1), replace=False)
         )
-        m = mask_from_qubits(qubits, n)
-        assert list(m.qubits()) == qubits
+        m = mask_from_qubits(chosen, n)
+        assert list(qubits(m)) == chosen
         for q in range(1, n + 1):
-            assert m.contains(q) == (q in qubits)
+            assert m.contains(q) == (q in chosen)
 
 
 def test_bit_string_round_trip():
@@ -85,7 +93,7 @@ def test_empty_full_flags():
     assert e.is_empty and not e.is_full
     assert f.is_full and not f.is_empty
     assert e.complement() == f
-    assert e.qubits() == () and f.qubits() == (1, 2, 3, 4)
+    assert qubits(e) == () and qubits(f) == (1, 2, 3, 4)
 
 
 def test_basis_index_is_mask_value():
@@ -136,6 +144,13 @@ def test_split_string():
     # double digit labels switch to comma separation
     s = Bipartition(mask_from_qubits([1, 10], 10)).split_string()
     assert s == "1,10|2,3,4,5,6,7,8,9"
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_split_string_matches_per_qubit_reference(n):
+    expected = [reference_split_string(p) for p in enumerate_bipartitions(n)]
+    assert list(map(split_string, bipartition_bit_strings(n))) == expected
+    assert [p.split_string() for p in enumerate_bipartitions(n)] == expected
 
 
 def test_enumerate_bipartitions():

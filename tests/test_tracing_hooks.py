@@ -12,6 +12,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import ghzent.cli
 import ghzent.oracle
 from ghzent.analytic import ClassificationReport
@@ -42,12 +44,14 @@ def test_patched_names_resolve():
     assert hasattr(ghzent.cli, "json")
 
 
-def test_traced_cli_run_gives_the_same_answers(capsys):
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_traced_cli_run_gives_the_same_answers(capsys, fmt):
+    # The tracer swaps ghzent.cli globals; each format calls a different set of them.
     tracing = _tracing()
     cli_names = [attr for _, module, attr in tracing.PATCHED if module == "ghzent.cli"]
     originals = {attr: getattr(ghzent.cli, attr) for attr in cli_names}
     for command in ("classify", "threshold"):
-        argv = [command, "--input", STATE, "--format", "json"]
+        argv = [command, "--input", STATE, "--format", fmt]
         plain_code = ghzent.cli.main(argv)
         plain = capsys.readouterr()
         tracer = tracing.Tracer()
