@@ -552,10 +552,10 @@ def test_table_lines_are_pinned(capsys):
 def test_cli_builds_no_per_cut_objects(capsys, monkeypatch, command, fmt):
     # The CLI writes every output from the report's columns; a per-cut
     # verdict, partition or split-string method must not be reached.
-    docs = [random_state(10, 0), GhzDiagonalState.maximally_mixed(4)]
+    states = [random_state(10, 0), GhzDiagonalState.maximally_mixed(4)]
     argvs = [
         [command, "--input", json.dumps(state_to_json_dict(state)), "--format", fmt]
-        for state in docs
+        for state in states
     ]
     plain = [run(capsys, *argv) for argv in argvs]
 

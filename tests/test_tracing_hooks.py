@@ -10,9 +10,8 @@ checked here.
 
 import importlib
 import importlib.util
+import itertools
 from pathlib import Path
-
-import pytest
 
 import ghzent.cli
 import ghzent.oracle
@@ -44,13 +43,12 @@ def test_patched_names_resolve():
     assert hasattr(ghzent.cli, "json")
 
 
-@pytest.mark.parametrize("fmt", ["json", "table"])
-def test_traced_cli_run_gives_the_same_answers(capsys, fmt):
-    # The tracer swaps ghzent.cli globals; each format calls a different set of them.
+def test_traced_cli_run_gives_the_same_answers(capsys):
     tracing = _tracing()
     cli_names = [attr for _, module, attr in tracing.PATCHED if module == "ghzent.cli"]
     originals = {attr: getattr(ghzent.cli, attr) for attr in cli_names}
-    for command in ("classify", "threshold"):
+    # The tracer swaps ghzent.cli globals; each format calls a different set of them.
+    for command, fmt in itertools.product(("classify", "threshold"), ("json", "table")):
         argv = [command, "--input", STATE, "--format", fmt]
         plain_code = ghzent.cli.main(argv)
         plain = capsys.readouterr()
