@@ -24,14 +24,11 @@ from .subsets import (
 from .state import (
     DenseOperator,
     GhzDiagonalState,
-    dump_state,
     load_state,
-    mix_with_white_noise,
     random_state,
     state_from_json_dict,
     state_to_json_dict,
     to_dense,
-    twirl_to_ghz_diagonal,
 )
 from .analytic import (
     ClassificationReport,
@@ -62,12 +59,9 @@ __all__ = [
     "GhzDiagonalState",
     "DenseOperator",
     "to_dense",
-    "twirl_to_ghz_diagonal",
     "random_state",
-    "mix_with_white_noise",
     "state_to_json_dict",
     "state_from_json_dict",
-    "dump_state",
     "load_state",
     "CoefficientWitness",
     "PartitionVerdict",

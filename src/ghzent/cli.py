@@ -21,8 +21,8 @@ import time
 import numpy as np
 
 # noise_threshold and full_entanglement_threshold are not called here; they
-# stay importable from this module because tools that trace the CLI wrap
-# its analytic calls by these names.
+# stay importable from this module because the benchmark's tracer wraps them
+# by these names (PATCHED in perfbench/tracing.py).
 from .analytic import (  # noqa: F401
     COEFFICIENT_NAMES,
     COEFFICIENT_TOL,
@@ -38,10 +38,8 @@ from .oracle import (
     partial_transpose,
 )
 from .state import (
-    _INV_SQRT2,
     GhzDiagonalState,
     _check_qubit_count,
-    dump_state,
     load_state,
     random_state,
     state_to_json_dict,
@@ -60,6 +58,10 @@ EXIT_NOT_FULL_ENTANGLED = 1
 EXIT_INPUT_ERROR = 2
 
 BENCH_CSV_HEADER = "path,n,partitions,median_ms"
+
+# The magnitude of both amplitudes of a GHZ vector, as `basis` prints it;
+# math.sqrt(0.5) differs from it in the last bit.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # The largest n oracle-check takes: it runs the eigensolver on every cut of
 # every state it draws.
@@ -211,7 +213,7 @@ def cmd_random(args) -> int:
             _print_json([state_to_json_dict(s) for s in states])
     else:
         for s in states:
-            print(dump_state(s, indent=None))
+            print(json.dumps(state_to_json_dict(s)))
     return 0
 
 
@@ -255,14 +257,15 @@ def cmd_basis(args) -> int:
     # Class k's two GHZ vectors sit on index k and its complement, +1/sqrt(2)
     # on k (the smaller index) and the sign on the complement.
     full = (1 << n) - 1
+    betas = bit_strings(np.arange(1 << (n - 1)), n)
     rows = [
         {
-            "beta": format(k, f"0{n}b"),
+            "beta": beta,
             "sign": label,
             "support": [k, k ^ full],
             "amplitudes": [_INV_SQRT2, sign * _INV_SQRT2],
         }
-        for k in range(1 << (n - 1))
+        for k, beta in enumerate(betas)
         for sign, label in ((+1, "+"), (-1, "-"))
     ]
     if args.format == "json":
@@ -386,6 +389,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if "count" in args and args.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if "seed" in args and args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0.0):
         print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)

@@ -9,20 +9,15 @@ complementary subset, which share the same projectors.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .subsets import MAX_QUBITS
+from .subsets import MAX_QUBITS, bit_strings
 
 NORMALIZATION_TOL = 1e-10
 WEIGHT_CLAMP = 1e-12
 MAX_DENSE_QUBITS = 10
-
-# The magnitude of both amplitudes of a GHZ vector; `basis` prints it, and
-# math.sqrt(0.5) differs from it in the last bit.
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def _check_qubit_count(n: int) -> None:
@@ -73,10 +68,6 @@ class GhzDiagonalState:
     @property
     def n(self) -> int:
         return self._n
-
-    @property
-    def num_classes(self) -> int:
-        return 1 << (self._n - 1)
 
     @property
     def lambda_plus(self) -> np.ndarray:
@@ -178,32 +169,6 @@ def to_dense(state: GhzDiagonalState) -> DenseOperator:
     return dense
 
 
-def twirl_to_ghz_diagonal(rho: DenseOperator) -> tuple[GhzDiagonalState, float]:
-    """Project an operator onto the GHZ-diagonal family.
-
-    Keeps the diagonal GHZ-basis weights and renormalizes them to the
-    canonical convention.  Returns the state together with the Frobenius
-    norm of the discarded remainder, which is 0 exactly when the input was
-    already GHZ-diagonal.  Positivity of the input is the caller's problem.
-    """
-    n = rho.n
-    if n < 2:
-        raise ValueError("a GHZ-diagonal state needs at least 2 qubits")
-    # The quadratic form <v|rho|v> on both GHZ vectors of every class at
-    # once: class k's vectors sit on index k and its complement, with
-    # amplitudes a and +-a.
-    k = np.arange(1 << (n - 1))
-    kc = k ^ ((1 << n) - 1)
-    m = rho.matrix
-    a = _INV_SQRT2
-    lp, lm = (a * a * m[k, k] + b * b * m[kc, kc] + 2.0 * a * b * m[k, kc] for b in (a, -a))
-    discarded = float(np.linalg.norm(rho.matrix - _dense_from_weights(n, lp, lm)))
-    total = float(lp.sum() + lm.sum())
-    if total <= 0.0:
-        raise ValueError(f"operator has nonpositive trace {total}")
-    return GhzDiagonalState(n, lp / total, lm / total), discarded
-
-
 def random_state(n: int, seed: int) -> GhzDiagonalState:
     """Uniform draw from the weight simplex (flat Dirichlet), seeded."""
     _check_qubit_count(n)
@@ -213,26 +178,14 @@ def random_state(n: int, seed: int) -> GhzDiagonalState:
     return GhzDiagonalState(n, w[:, 0], w[:, 1])
 
 
-def mix_with_white_noise(state: GhzDiagonalState, p: float) -> GhzDiagonalState:
-    """Depolarize: blend every weight toward the maximally mixed 1/2^n."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing probability must be in [0, 1], got {p}")
-    floor = p / (1 << state.n)
-    return GhzDiagonalState(
-        state.n,
-        (1.0 - p) * state.lambda_plus + floor,
-        (1.0 - p) * state.lambda_minus + floor,
-    )
-
-
 def state_to_json_dict(state: GhzDiagonalState) -> dict:
     """JSON form listing only the classes that carry weight."""
-    weights = []
-    for k in range(state.num_classes):
-        plus = float(state.lambda_plus[k])
-        minus = float(state.lambda_minus[k])
-        if plus != 0.0 or minus != 0.0:
-            weights.append({"beta": format(k, f"0{state.n}b"), "plus": plus, "minus": minus})
+    lp, lm = state.lambda_plus, state.lambda_minus
+    k = np.flatnonzero((lp != 0.0) | (lm != 0.0))
+    weights = [
+        {"beta": beta, "plus": plus, "minus": minus}
+        for beta, plus, minus in zip(bit_strings(k, state.n), lp[k].tolist(), lm[k].tolist())
+    ]
     return {"n": state.n, "convention": "canonical", "weights": weights}
 
 
@@ -375,10 +328,6 @@ def state_from_json_dict(data: dict) -> GhzDiagonalState:
     if columns is None:
         raise _first_bad_entry(entries, n, convention)
     return GhzDiagonalState(n, *columns)
-
-
-def dump_state(state: GhzDiagonalState, indent: int | None = 2) -> str:
-    return json.dumps(state_to_json_dict(state), indent=indent)
 
 
 def load_state(text: str) -> GhzDiagonalState:

@@ -1,10 +1,11 @@
 """Independent references the tests check the library against.
 
 The GHZ basis as sparse two-amplitude vectors, the subset-mask and weight
-helpers that only the tests need, and a per-entry parser of the state's
-JSON form.  None of it is used by ``ghzent`` itself, so the checks built
-on it share no code with the paths they test; the parser builds its state
-with ``GhzDiagonalState``, as the library's parser does.
+helpers that only the tests need, the white-noise mixing their noisy
+fixtures are built with, and a per-entry parser of the state's JSON form.
+None of it is used by ``ghzent`` itself, so the checks built on it share
+no code with the paths they test; the mixing and the parser build their
+states with ``GhzDiagonalState``, as the library does.
 
 Every GHZ vector has exactly two nonzero amplitudes of magnitude 1/sqrt(2)
 sitting on a basis index and its bitwise complement.  All amplitudes are
@@ -71,6 +72,18 @@ def weight(state, beta: SubsetMask, sign: int) -> float:
         raise ValueError(f"mixed qubit counts {beta.n} and {state.n}")
     arr = state.lambda_plus if sign == 1 else state.lambda_minus
     return float(arr[canonical_beta(beta).bits])
+
+
+def mix_with_white_noise(state: GhzDiagonalState, p: float) -> GhzDiagonalState:
+    """Depolarize: blend every weight toward the maximally mixed 1/2^n."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"mixing probability must be in [0, 1], got {p}")
+    floor = p / (1 << state.n)
+    return GhzDiagonalState(
+        state.n,
+        (1.0 - p) * state.lambda_plus + floor,
+        (1.0 - p) * state.lambda_minus + floor,
+    )
 
 
 # -- GHZ basis vectors ----------------------------------------------------------

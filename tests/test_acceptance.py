@@ -12,7 +12,14 @@ import time
 
 import numpy as np
 
-from ghz_reference import enumerate_canonical_betas, ghz_vector, phi_vector, weight, xor
+from ghz_reference import (
+    enumerate_canonical_betas,
+    ghz_vector,
+    mix_with_white_noise,
+    phi_vector,
+    weight,
+    xor,
+)
 from ghzent.analytic import (
     classify,
     coefficient_arrays,
@@ -28,7 +35,6 @@ from ghzent.oracle import (
 from ghzent.state import (
     DenseOperator,
     GhzDiagonalState,
-    mix_with_white_noise,
     random_state,
     to_dense,
 )

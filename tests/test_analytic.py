@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghz_reference import canonical_beta, enumerate_canonical_betas, phi_vector, weight, xor
+from ghz_reference import (
+    canonical_beta,
+    enumerate_canonical_betas,
+    mix_with_white_noise,
+    phi_vector,
+    weight,
+    xor,
+)
 from ghzent.analytic import (
     COEFFICIENT_NAMES,
     classify,
@@ -21,7 +28,6 @@ from ghzent.analytic import (
 from ghzent.oracle import eigenvalues_symmetric, is_ppt_dense, partial_transpose
 from ghzent.state import (
     GhzDiagonalState,
-    mix_with_white_noise,
     random_state,
     to_dense,
 )

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ghz_reference import reference_split_string
+from ghz_reference import mix_with_white_noise, reference_split_string
 from ghzent.analytic import ClassificationReport, classify, partition_thresholds
 from ghzent.cli import BENCH_CSV_HEADER, build_parser, main
 from ghzent.state import (
     GhzDiagonalState,
     load_state,
-    mix_with_white_noise,
     random_state,
     state_to_json_dict,
 )
@@ -300,6 +299,19 @@ def test_count_must_be_positive(capsys):
     rc, _, err = run(capsys, "random", "--n", "3", "--count", "0")
     assert rc == 2
     assert "count" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("random", "--n", "3", "--seed", "-1"),
+        ("oracle-check", "--n", "2", "--count", "2", "--seed", "-5"),
+        ("bench", "--count", "1", "--seed", "-1"),
+    ],
+)
+def test_negative_seed_names_the_flag(capsys, argv):
+    seed = argv[-1]
+    assert run(capsys, *argv) == (2, "", f"error: --seed must be >= 0, got {seed}\n")
 
 
 # A valid value for every CLI flag, and the flags each subcommand reads.

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 import ghzent.oracle
 import ghzent.state
+from ghz_reference import mix_with_white_noise
 from ghzent.analytic import COEFFICIENT_TOL, classify
 from ghzent.cli import pt_spectrum_vs_coefficients
 from ghzent.oracle import (
@@ -19,7 +20,6 @@ from ghzent.oracle import (
 from ghzent.state import (
     DenseOperator,
     GhzDiagonalState,
-    mix_with_white_noise,
     random_state,
     to_dense,
 )

@@ -1,4 +1,9 @@
+import re
+from pathlib import Path
+
 import ghzent
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The public names, pinned so that one is added or dropped only on purpose.
 PUBLIC_NAMES = {
@@ -9,12 +14,9 @@ PUBLIC_NAMES = {
     "GhzDiagonalState",
     "DenseOperator",
     "to_dense",
-    "twirl_to_ghz_diagonal",
     "random_state",
-    "mix_with_white_noise",
     "state_to_json_dict",
     "state_from_json_dict",
-    "dump_state",
     "load_state",
     "CoefficientWitness",
     "PartitionVerdict",
@@ -35,7 +37,15 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(ghzent.__all__) == len(PUBLIC_NAMES) == 29
+    assert len(ghzent.__all__) == len(PUBLIC_NAMES) == 26
     assert set(ghzent.__all__) == PUBLIC_NAMES
     for name in ghzent.__all__:
         assert hasattr(ghzent, name), name
+
+
+def test_readme_api_sketch_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## API sketch\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md API sketch", "exec"), {})

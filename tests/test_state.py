@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ghz_reference import (
     enumerate_canonical_betas,
     ghz_vector,
+    mix_with_white_noise,
     reference_state_from_json_dict,
     weight,
 )
@@ -17,15 +18,11 @@ from ghzent.cli import main
 from ghzent.state import (
     DenseOperator,
     GhzDiagonalState,
-    _dense_from_weights,
-    dump_state,
     load_state,
-    mix_with_white_noise,
     random_state,
     state_from_json_dict,
     state_to_json_dict,
     to_dense,
-    twirl_to_ghz_diagonal,
 )
 from ghzent.subsets import SubsetMask
 
@@ -121,25 +118,6 @@ def test_extract_lambda_round_trip():
             )
 
 
-def test_twirl_recovers_diagonal_state():
-    for seed in range(10):
-        s = random_state(4, seed)
-        recovered, discarded = twirl_to_ghz_diagonal(to_dense(s))
-        assert discarded < 1e-12
-        assert np.allclose(recovered.lambda_plus, s.lambda_plus, atol=1e-12)
-        assert np.allclose(recovered.lambda_minus, s.lambda_minus, atol=1e-12)
-
-
-def test_twirl_reports_discarded_mass():
-    # |000><000| projects onto equal plus and minus weights of the empty class
-    rho = np.zeros((8, 8))
-    rho[0, 0] = 1.0
-    state, discarded = twirl_to_ghz_diagonal(DenseOperator.from_matrix(rho))
-    assert weight(state, SubsetMask(0, 3), +1) == pytest.approx(0.5, abs=1e-12)
-    assert weight(state, SubsetMask(0, 3), -1) == pytest.approx(0.5, abs=1e-12)
-    assert discarded == pytest.approx(np.sqrt(0.5), abs=1e-12)
-
-
 def test_random_state_is_deterministic_and_normalized():
     a = random_state(5, 123)
     b = random_state(5, 123)
@@ -193,7 +171,7 @@ def test_white_noise_is_affine():
 def test_json_round_trip():
     for seed in range(10):
         s = random_state(4, seed)
-        assert load_state(dump_state(s)) == s
+        assert load_state(json.dumps(state_to_json_dict(s), indent=2)) == s
 
 
 def test_json_omits_zero_classes():
@@ -202,6 +180,33 @@ def test_json_omits_zero_classes():
     assert doc["n"] == 3
     assert doc["convention"] == "canonical"
     assert doc["weights"] == [{"beta": "000", "plus": 1.0, "minus": 0.0}]
+
+
+def _weights_by_loop(state):
+    """Reference for the ``weights`` list of ``state_to_json_dict``: one class at a time."""
+    weights = []
+    for k in range(1 << (state.n - 1)):
+        plus = float(state.lambda_plus[k])
+        minus = float(state.lambda_minus[k])
+        if plus != 0.0 or minus != 0.0:
+            weights.append({"beta": format(k, f"0{state.n}b"), "plus": plus, "minus": minus})
+    return weights
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 12])
+def test_json_weights_equal_per_class_loop(n):
+    # -0.0 is no weight: its class is omitted, or written as -0.0 beside a weight
+    lp = np.full(1 << (n - 1), -0.0)
+    lm = lp.copy()
+    lp[0] = lm[-1] = 0.5
+    for state in (
+        random_state(n, n),
+        GhzDiagonalState.pure_ghz(n),
+        GhzDiagonalState.maximally_mixed(n),
+        GhzDiagonalState(n, lp, lm),
+    ):
+        want = json.dumps(_weights_by_loop(state))
+        assert json.dumps(state_to_json_dict(state)["weights"]) == want
 
 
 def test_json_full_convention_maps_to_complement():
@@ -285,7 +290,7 @@ def test_json_rejects_duplicate_class():
 
 def test_json_output_is_valid_json():
     s = random_state(3, 3)
-    doc = json.loads(dump_state(s))
+    doc = json.loads(json.dumps(state_to_json_dict(s), indent=2))
     assert set(doc) == {"n", "convention", "weights"}
 
 
@@ -398,31 +403,6 @@ def test_nan_in_a_repeated_class_conflicts(capsys, convention, repeat, field):
 def test_integer_weights_are_numbers():
     as_ints = load_state('{"n": 2, "weights": [{"beta": "00", "plus": 1, "minus": 0}]}')
     assert as_ints == GhzDiagonalState.pure_ghz(2)
-
-
-def _twirl_by_loop(rho):
-    """Reference for ``twirl_to_ghz_diagonal``: one quadratic form per class and sign."""
-    n = rho.n
-    lp = np.array([extract_lambda(rho, beta, +1) for beta in enumerate_canonical_betas(n)])
-    lm = np.array([extract_lambda(rho, beta, -1) for beta in enumerate_canonical_betas(n)])
-    discarded = float(np.linalg.norm(rho.matrix - _dense_from_weights(n, lp, lm)))
-    total = float(lp.sum() + lm.sum())
-    return GhzDiagonalState(n, lp / total, lm / total), discarded
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 7])
-def test_twirl_equals_per_class_loop_exactly(n):
-    rng = np.random.default_rng(n)
-    ghz = to_dense(random_state(n, n))
-    a = rng.normal(size=(1 << n, 1 << n))
-    m = a @ a.T / np.trace(a @ a.T)
-    generic = DenseOperator.from_matrix((m + m.T) / 2)
-    for rho in (ghz, generic):
-        got, got_discarded = twirl_to_ghz_diagonal(rho)
-        want, want_discarded = _twirl_by_loop(rho)
-        assert np.array_equal(got.lambda_plus, want.lambda_plus)
-        assert np.array_equal(got.lambda_minus, want.lambda_minus)
-        assert got_discarded == want_discarded
 
 
 # Values a weight may take in a generated document: numbers that pass, and

@@ -3,9 +3,10 @@
 ``perfbench/tracing.py`` swaps traced wrappers in for module attributes of
 ``ghzent.cli`` and ``ghzent.oracle`` and for
 ``ClassificationReport.to_json_dict``, and its classify observer reads
-``report.partitions[*].is_ppt``.  A refactor that renames or drops one of
-these breaks the benchmark's per-layer run, not the program, so it is
-checked here.
+``report.partitions[*].is_ppt``.  ``perfbench/workloads.py`` calls the
+oracle request's functions by module path and reads the fields of
+``is_ppt``'s witness.  A refactor that renames or drops one of these breaks
+the benchmark, not the program, so it is checked here.
 """
 
 import importlib
@@ -13,9 +14,12 @@ import importlib.util
 import itertools
 from pathlib import Path
 
+import ghzent.analytic
 import ghzent.cli
 import ghzent.oracle
-from ghzent.analytic import ClassificationReport
+import ghzent.state
+import ghzent.subsets
+from ghzent.analytic import COEFFICIENT_NAMES, ClassificationReport
 from ghzent.state import load_state
 from ghzent.subsets import enumerate_bipartitions
 
@@ -41,6 +45,24 @@ def test_patched_names_resolve():
     assert callable(ClassificationReport.to_json_dict)
     # installed() also swaps the json module that ghzent.cli imported
     assert hasattr(ghzent.cli, "json")
+
+
+def test_oracle_workload_names_resolve():
+    # The names perfbench/workloads.py reads, by the paths it reads them at.
+    tol = ghzent.analytic.COEFFICIENT_TOL
+    assert isinstance(tol, float)
+    assert isinstance(ghzent.oracle.DEFAULT_ORACLE.psd_tol, float)
+    state = ghzent.state.load_state(STATE)
+    partitions = ghzent.subsets.enumerate_bipartitions(state.n)
+    assert [p.alpha1.bits for p in partitions] == list(range(8, 15))
+    for partition in partitions:
+        ppt, witness = ghzent.analytic.is_ppt(state, partition)
+        assert isinstance(ppt, bool)
+        assert ppt == (witness.value >= -tol)
+        assert isinstance(witness.value, float)
+        assert 0 <= witness.beta.bits < 1 << (state.n - 1)
+        assert witness.coefficient in COEFFICIENT_NAMES
+        assert isinstance(ghzent.oracle.is_ppt_dense(state, partition), bool)
 
 
 def test_traced_cli_run_gives_the_same_answers(capsys):
