@@ -167,7 +167,19 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
     order: each cut's minimum coefficient, the class it belongs to and its
     index into ``COEFFICIENT_NAMES``.  These are bit-identical to the
     ``argmin`` over the stacked (B, C, D, E) table of ``is_ppt``, tie-break
-    included.
+    included.  A state is scanned once: later calls return the same arrays,
+    read-only, kept on the state and shared by its reports and thresholds.
+    """
+    if state._minima is None:
+        minima = _scan_minima(state.lambda_plus, state.lambda_minus)
+        for column in minima:
+            column.flags.writeable = False
+        state._minima = minima
+    return state._minima
+
+
+def _scan_minima(lp, lm):
+    """``partition_minima`` of the weights ``lp`` and ``lm``, always computed.
 
     With s = lambda_plus + lambda_minus, d = lambda_plus - lambda_minus and
     partner k = j ^ alpha2, the pair (j, k) contributes min(B_j, E_j) =
@@ -188,8 +200,6 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
     directly.  Weights that tie in both s and |d|, such as quantised ones,
     still evaluate O(4^n) pairs.
     """
-    lp = state.lambda_plus
-    lm = state.lambda_minus
     n_cls = lp.size
     alpha2 = np.arange(n_cls - 1, 0, -1)
     s = lp + lm

@@ -46,11 +46,12 @@ class GhzDiagonalState:
     """Weights of a GHZ-projector mixture, one pair per canonical class.
 
     ``lambda_plus[k]`` and ``lambda_minus[k]`` weight the +/- vectors of the
-    canonical class whose basis index is ``k``.  Instances are immutable,
-    so the dense matrix, once built by :func:`to_dense`, is kept here.
+    canonical class whose basis index is ``k``.  Instances are immutable, so
+    the dense matrix of :func:`to_dense` and the read-only minima of
+    ``analytic.partition_minima`` are kept here once built, for every caller.
     """
 
-    __slots__ = ("_n", "_lambda_plus", "_lambda_minus", "_dense")
+    __slots__ = ("_n", "_lambda_plus", "_lambda_minus", "_dense", "_minima")
 
     def __init__(self, n: int, lambda_plus, lambda_minus):
         _check_qubit_count(n)
@@ -64,6 +65,7 @@ class GhzDiagonalState:
         self._lambda_plus = lp
         self._lambda_minus = lm
         self._dense = None
+        self._minima = None
 
     @property
     def n(self) -> int:

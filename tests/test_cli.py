@@ -1,6 +1,9 @@
+import contextlib
 import io
+import itertools
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ghzent.analytic
+import ghzent.cli
 from ghz_reference import mix_with_white_noise, reference_split_string
 from ghzent.analytic import ClassificationReport, classify, partition_thresholds
 from ghzent.cli import BENCH_CSV_HEADER, build_parser, main
@@ -666,3 +671,123 @@ def test_parser_reuse_carries_nothing_between_calls(capsys):
     rc, out, _ = run(capsys, "classify", "--input", text, "--tol", "0.5", "--format", "table")
     assert rc == 1 and out.startswith("n = 4")
     assert run(capsys, "classify", "--input", text, "--format", "json") == alone
+
+
+# -- the CLI keeps the state of its last input text --------------------------------
+
+
+def _lone(capsys, *argv):
+    """``run`` in a process that has kept no state."""
+    ghzent.cli._load_text.cache_clear()
+    return run(capsys, *argv)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or fn(*a))
+    return calls
+
+
+def test_classify_then_threshold_parse_and_scan_once(capsys, monkeypatch):
+    ghzent.cli._load_text.cache_clear()
+    loads = _count_calls(monkeypatch, ghzent.cli, "load_state")
+    scans = _count_calls(monkeypatch, ghzent.analytic, "_scan_minima")
+    text = json.dumps(state_to_json_dict(random_state(7, 3)))
+    for fmt in ("json", "table"):
+        run(capsys, "classify", "--input", text, "--format", fmt)
+        run(capsys, "threshold", "--input", text, "--format", fmt)
+    assert (len(loads), len(scans)) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "doc", [pytest.param(doc, id=label) for label, doc in _byte_identity_corpus()]
+)
+def test_kept_state_prints_the_lone_run_bytes(capsys, doc):
+    text = json.dumps(doc)
+    other = json.dumps(state_to_json_dict(random_state(5, 11)))
+    commands = ("classify", "threshold")
+    for fmt in ("json", "table"):
+        argv = {c: (c, "--input", text, "--format", fmt) for c in commands}
+        lone = {c: _lone(capsys, *argv[c]) for c in commands}
+        for order in itertools.product(commands, repeat=2):
+            ghzent.cli._load_text.cache_clear()
+            assert [run(capsys, *argv[c]) for c in order] == [lone[c] for c in order]
+        # A, B, A: another document in between
+        for first, between in itertools.product(commands, repeat=2):
+            ghzent.cli._load_text.cache_clear()
+            assert run(capsys, *argv[first]) == lone[first]
+            run(capsys, between, "--input", other, "--format", fmt)
+            assert run(capsys, *argv[first]) == lone[first]
+
+
+def test_kept_state_leaves_tol_to_each_call(capsys):
+    text = json.dumps(state_to_json_dict(random_state(4, 5)))
+    loose = ("classify", "--input", text, "--tol", "0.5", "--format", "json")
+    lone = _lone(capsys, *loose)
+    assert run(capsys, "classify", "--input", text, "--format", "json")[0] == 0
+    assert run(capsys, *loose) == lone
+    assert lone[0] == 1 and '"ppt": false' not in lone[1]
+
+
+@pytest.mark.parametrize("command", ["classify", "threshold"])
+def test_errors_are_not_kept(capsys, monkeypatch, command):
+    loads = _count_calls(monkeypatch, ghzent.cli, "load_state")
+    for text in ('{"n": 3, "weights": [', '{"n":3}'):
+        first = run(capsys, command, "--input", text)
+        assert first[0] == 2 and first[2].startswith("error: ")
+        assert run(capsys, command, "--input", text) == first
+    assert len(loads) == 4
+
+
+def test_text_that_differs_in_whitespace_is_parsed_again(capsys, monkeypatch):
+    ghzent.cli._load_text.cache_clear()
+    loads = _count_calls(monkeypatch, ghzent.cli, "load_state")
+    doc = state_to_json_dict(random_state(6, 1))
+    texts = (json.dumps(doc), json.dumps(doc, indent=1))
+    outs = [run(capsys, "classify", "--input", t, "--format", "json") for t in texts]
+    assert outs[0] == outs[1]
+    assert len(loads) == 2
+
+
+def test_bench_times_a_cold_scan_each_repetition(capsys, monkeypatch):
+    scans = _count_calls(monkeypatch, ghzent.analytic, "_scan_minima")
+    rc, out, _ = run(capsys, "bench", "--count", "3", "--seed", "0")
+    assert rc == 0
+    analytic_rows = [row for row in BENCH_ROWS if row[0].startswith("analytic")]
+    assert len(scans) == 3 * len(analytic_rows)
+
+
+def _random_reference(n, seed, count, fmt):
+    """``random``'s output as written with every state held at once."""
+    docs = [state_to_json_dict(random_state(n, seed + i)) for i in range(count)]
+    if fmt == "table":
+        return "".join(json.dumps(d) + "\n" for d in docs)
+    return json.dumps(docs[0] if count == 1 else docs, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_random_output_is_unchanged(capsys, n, count, fmt):
+    argv = ("random", "--n", str(n), "--seed", "5", "--count", str(count), "--format", fmt)
+    assert run(capsys, *argv) == (0, _random_reference(n, 5, count, fmt), "")
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_random_holds_one_state_at_a_time(fmt):
+    peaks = []
+    for count in (1, 8):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                main(["random", "--n", "14", "--count", str(count), "--format", fmt])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]

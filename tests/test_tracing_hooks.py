@@ -74,6 +74,8 @@ def test_traced_cli_run_gives_the_same_answers(capsys):
         argv = [command, "--input", STATE, "--format", fmt]
         plain_code = ghzent.cli.main(argv)
         plain = capsys.readouterr()
+        # The CLI keeps the state of the last text; forget it, so the traced run parses.
+        ghzent.cli._load_text.cache_clear()
         tracer = tracing.Tracer()
         tracer.request = 0
         with tracing.installed(tracer):
@@ -88,6 +90,14 @@ def test_traced_cli_run_gives_the_same_answers(capsys):
             assert tracer.counts["analytic.ppt"] == sum(
                 v.is_ppt for v in ghzent.cli.classify(ghzent.cli.load_state(STATE)).partitions
             )
+        # The same text again under the tracer: the kept state answers, unparsed.
+        repeat = tracing.Tracer()
+        repeat.request = 0
+        with tracing.installed(repeat):
+            repeat_code = ghzent.cli.main(argv)
+        again = capsys.readouterr()
+        assert (repeat_code, again.out, again.err) == (plain_code, plain.out, plain.err)
+        assert "state.load" not in {span[0] for span in repeat.spans}
     for attr, fn in originals.items():
         assert getattr(ghzent.cli, attr) is fn
 
