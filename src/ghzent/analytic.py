@@ -122,11 +122,7 @@ def _check_compatible(state: GhzDiagonalState, partition: Bipartition) -> None:
 def coefficient_arrays(
     state: GhzDiagonalState, partition: Bipartition
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (B, C, D, E) over all canonical classes at once.
-
-    This is the whole analytic hot path: one XOR-permuted weight lookup
-    and a handful of array sums per partition.
-    """
+    """(B, C, D, E) of every canonical class across one cut, for ``oracle-check --n 2``."""
     _check_compatible(state, partition)
     lp = state.lambda_plus
     lm = state.lambda_minus
@@ -144,20 +140,19 @@ def is_ppt(
 ) -> tuple[bool, CoefficientWitness]:
     """PPT verdict for one partition, with the minimizing coefficient.
 
-    True iff every block coefficient is nonnegative (within ``tol``),
-    which certifies the state biseparable across the partition.  Ties on
-    the worst value resolve to the smallest class index, then B, C, D, E
-    order, so reports are deterministic.  ``tol`` must be a finite number
-    >= 0; any other value raises ``ValueError``.
+    True iff every block coefficient is nonnegative (within ``tol``), which
+    certifies the state biseparable across the partition.  The witness is
+    the cut's entry of :func:`partition_minima`: ties go to the smallest
+    class, then B, C, D, E order.  A state's first call scans every cut.
+    ``tol`` must be a finite number >= 0; any other value raises ``ValueError``.
     """
     _check_tol(tol)
-    b, c, d, e = coefficient_arrays(state, partition)
-    table = np.stack([b, c, d, e], axis=1)
-    flat = int(np.argmin(table))
-    k, which = divmod(flat, 4)
-    value = float(table[k, which])
-    witness = CoefficientWitness(SubsetMask(k, state.n), COEFFICIENT_NAMES[which], value)
-    return value >= -tol, witness
+    _check_compatible(state, partition)
+    i = partition.alpha1.bits - (1 << (state.n - 1))  # the cut's place in enumeration order
+    values, classes, codes = partition_minima(state)
+    value = float(values[i])
+    beta = SubsetMask(int(classes[i]), state.n)
+    return value >= -tol, CoefficientWitness(beta, COEFFICIENT_NAMES[codes[i]], value)
 
 
 def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,7 +161,7 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
     Returns ``(values, classes, codes)`` in ``enumerate_bipartitions``
     order: each cut's minimum coefficient, the class it belongs to and its
     index into ``COEFFICIENT_NAMES``.  These are bit-identical to the
-    ``argmin`` over the stacked (B, C, D, E) table of ``is_ppt``, tie-break
+    ``argmin`` over each cut's stacked (B, C, D, E) table, tie-break
     included.  A state is scanned once: later calls return the same arrays,
     read-only, kept on the state and shared by its reports and thresholds.
     """
@@ -216,6 +211,9 @@ def _scan_minima(lp, lm):
     keys = (neg_abs_d, s)
     orders = (np.arange(n_cls), np.arange(n_cls))
     pos, ranked, nxt = [0, 0], [0, 0], [neg_abs_d.min(), s.min()]
+    # Work buffers for every block, allocated once per scan.  Plain temporaries
+    # (256 KiB at n = 12) give the same output but come as fresh pages: ~360
+    # minor faults and 1.5 ms per random n = 12 scan, not 0 and 1.0 (2-core Xeon).
     size = min(_BLOCK_CLASSES * alpha2.size, max(_BLOCK_ENTRIES, alpha2.size))
     int_bufs = np.empty((2, size), dtype=np.int64)
     float_bufs = np.empty((4, size))
@@ -262,8 +260,7 @@ def _scan_minima(lp, lm):
         x, y, be, cd = float_bufs[:, : block.size * cut.size].reshape(4, block.size, cut.size)
         other = np.bitwise_xor(block, cut, out=idx)
         j, k = (other, block) if t else (block, other)
-        # min(B_j, E_j) in row j and min(C_k, D_k) in row k, in buffers
-        # allocated once per scan wherever an operand varies along the cuts.
+        # min(B_j, E_j) in row j and min(C_k, D_k) in row k, in the buffers.
         lp_j = _gather(lp, j, other, x)
         lm_j = _gather(lm, j, other, y)
         lp_k = _gather(lp, k, other, x)
@@ -385,10 +382,9 @@ def noise_threshold(state: GhzDiagonalState, partition: Bipartition) -> float:
     """Smallest white-noise level at which the partition turns PPT.
 
     The value :func:`partition_thresholds` gives this cut, read off the
-    cut's own minimum coefficient.
+    cut's minimum coefficient: the value of :func:`is_ppt`'s witness.
     """
-    minimum = min(c.min() for c in coefficient_arrays(state, partition))
-    return float(_thresholds(minimum, state.n))
+    return float(_thresholds(is_ppt(state, partition)[1].value, state.n))
 
 
 def full_entanglement_threshold(state: GhzDiagonalState) -> float:

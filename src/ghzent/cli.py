@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import math
-import statistics
 import sys
 import time
 
@@ -287,6 +286,7 @@ def cmd_basis(args) -> int:
 
 
 def _median_ms(fn, repetitions: int, make_input=lambda: None) -> float:
+    import statistics  # here, so that classify and threshold never load it
     times = []
     for _ in range(repetitions):
         arg = make_input()

@@ -363,21 +363,29 @@ def test_coefficient_names_order():
 # -- the all-partition scan against the four-array table -----------------------
 
 
-def reference_minima(state):
-    """Per-cut ``argmin`` over the stacked (B, C, D, E) table, one cut at a time.
+def reference_cut(state, p):
+    """Per-cut ``argmin`` over the stacked (B, C, D, E) table of one cut.
 
-    Returns the minimum, its class, its coefficient code and the full table
-    of each cut, ties resolved by flat index: smallest class, then B, C, D, E.
+    Returns the minimum, its class, its coefficient code and the cut's full
+    table, ties resolved by flat index: smallest class, then B, C, D, E.
     """
-    values, classes, codes, tables = [], [], [], []
-    for p in enumerate_bipartitions(state.n):
-        table = np.stack(coefficient_arrays(state, p), axis=1)
-        k, which = divmod(int(np.argmin(table)), 4)
-        values.append(table[k, which])
-        classes.append(k)
-        codes.append(which)
-        tables.append(table)
-    return np.array(values), np.array(classes), np.array(codes), tables
+    table = np.stack(coefficient_arrays(state, p), axis=1)
+    k, which = divmod(int(np.argmin(table)), 4)
+    return table[k, which], k, which, table
+
+
+def reference_minima(state):
+    """``reference_cut`` of every cut, as columns plus the list of tables."""
+    cuts = [reference_cut(state, p) for p in enumerate_bipartitions(state.n)]
+    values, classes, codes, tables = zip(*cuts)
+    return np.array(values), np.array(classes), np.array(codes), list(tables)
+
+
+def reference_threshold(minimum, n):
+    """-M / (2/2^n - M), clamped to [0, 1], for a cut with minimum M < 0; else 0."""
+    if not minimum < 0.0:
+        return 0.0
+    return min(max(-minimum / (2.0 / (1 << n) - minimum), 0.0), 1.0)
 
 
 def assert_minima_match_reference(state):
@@ -591,10 +599,34 @@ def test_classify_settles_tied_states_at_n14_quickly(state):
 
 @pytest.mark.parametrize("state", scan_corpus())
 def test_thresholds_match_per_cut_noise_threshold(state):
-    per_cut = np.array([noise_threshold(state, p) for p in enumerate_bipartitions(state.n)])
+    minima = reference_minima(state)[0]
+    per_cut = np.array([reference_threshold(m, state.n) for m in minima])
     thresholds = partition_thresholds(state)
     assert np.array_equal(thresholds, per_cut)
     assert full_entanglement_threshold(state) == per_cut.min()
+
+
+def per_cut_corpus():
+    """``scan_corpus()`` and GHZ + noise within 1e-12 of its threshold p*."""
+    yield from scan_corpus()
+    for n in range(2, 12):
+        p_star = (1 << n) / ((1 << n) + 2)
+        for p in (p_star - 1e-12, p_star + 1e-12):
+            yield pytest.param(ghz_at(n, p), id=f"ghz-n{n}-p{p}")
+
+
+@pytest.mark.parametrize("state", per_cut_corpus())
+def test_per_cut_calls_match_per_cut_reference(state):
+    # is_ppt and noise_threshold read the scan; the reference never runs it.
+    for p in enumerate_bipartitions(state.n):
+        value, k, which, _ = reference_cut(state, p)
+        for tol in (1e-12, 0.0):
+            ppt, witness = is_ppt(state, p, tol=tol)
+            assert ppt is bool(value >= -tol)
+            assert witness.value == value  # bit-equal, not approximately
+            assert witness.beta == SubsetMask(k, state.n)
+            assert witness.coefficient == COEFFICIENT_NAMES[which]
+        assert noise_threshold(state, p) == reference_threshold(value, state.n)
 
 
 # -- the scan is kept on the state ------------------------------------------------
@@ -621,6 +653,19 @@ def test_a_state_is_scanned_once(monkeypatch):
     copy = GhzDiagonalState(state.n, state.lambda_plus, state.lambda_minus)
     assert np.array_equal(partition_thresholds(copy), thresholds)
     assert full_entanglement_threshold(copy) == overall
+    assert len(calls) == 2
+
+
+def test_per_cut_calls_scan_a_state_once(monkeypatch):
+    calls = _count_scans(monkeypatch)
+    state = random_state(8, 3)
+    for p in enumerate_bipartitions(state.n):
+        is_ppt(state, p)
+        is_ppt(state, p, tol=0.0)
+        noise_threshold(state, p)
+    assert len(calls) == 1
+    fresh = GhzDiagonalState(state.n, state.lambda_plus, state.lambda_minus)
+    noise_threshold(fresh, enumerate_bipartitions(fresh.n)[-1])
     assert len(calls) == 2
 
 

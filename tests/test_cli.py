@@ -2,9 +2,13 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +94,30 @@ def test_classify_reads_file_and_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(PURE_GHZ_3))
     rc, out, _ = run(capsys, "classify", "--input", "-")
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "state JSON must be an object"),
+        ("3", "state JSON must be an object"),
+        ('{"n": 1, "weights": []}', "field 'n' must be in 2..24, got 1"),
+        ('{"n": 25, "weights": []}', "field 'n' must be in 2..24, got 25"),
+    ],
+)
+def test_rejected_document_on_stdin_exits_two(capsys, monkeypatch, text, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run(capsys, "classify", "--input", "-")
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    # statistics pulls in fractions and decimal; only bench uses it.
+    code = "import sys, ghzent.cli; print(sorted({'statistics', 'decimal'} & set(sys.modules)))"
+    paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
 def test_random_single_state_is_loadable_and_deterministic(capsys):

@@ -303,6 +303,15 @@ def test_dense_operator_validation():
         DenseOperator.from_matrix(asym)
     with pytest.raises(ValueError):
         DenseOperator.from_matrix(np.zeros((2048, 2048)))  # above the dense cap
+    with pytest.raises(ValueError, match=r"matrix shape \(3, 3\) does not match n=2"):
+        DenseOperator(np.zeros((3, 3)), 2)
+
+
+def test_state_equality_and_repr():
+    s = GhzDiagonalState.pure_ghz(3)
+    assert (s == 3) is False
+    assert s == GhzDiagonalState.pure_ghz(3)
+    assert repr(s) == "GhzDiagonalState(n=3, nonzero_weights=1)"
 
 
 def test_to_dense_respects_cap():

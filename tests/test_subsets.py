@@ -121,6 +121,19 @@ def test_enumerate_canonical_betas():
         assert all(not b.contains(1) for b in betas)
 
 
+def test_contains_rejects_qubits_outside_range():
+    mask = SubsetMask(1, 3)
+    assert mask.contains(3) and not mask.contains(1)
+    for qubit in (0, 4):
+        with pytest.raises(ValueError, match=f"qubit {qubit} out of range 1..3"):
+            mask.contains(qubit)
+
+
+def test_reprs():
+    assert repr(SubsetMask(3, 3)) == "SubsetMask('011')"
+    assert repr(Bipartition(SubsetMask(4, 3))) == "Bipartition('1|23')"
+
+
 def test_bipartition_rejects_trivial_cuts():
     with pytest.raises(ValueError):
         Bipartition(SubsetMask(0, 3))
