@@ -42,7 +42,6 @@ from .analytic import (
 )
 from .oracle import (
     DEFAULT_ORACLE,
-    OracleTolerances,
     SpectrumResult,
     eigenvalues_symmetric,
     is_ppt_dense,
@@ -71,7 +70,6 @@ __all__ = [
     "classify",
     "noise_threshold",
     "full_entanglement_threshold",
-    "OracleTolerances",
     "DEFAULT_ORACLE",
     "SpectrumResult",
     "partial_transpose",

@@ -31,10 +31,6 @@ class OracleTolerances:
 
     psd_tol: float = 5e-13
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.psd_tol < float("inf"):
-            raise ValueError(f"psd_tol must be a finite number > 0, got {self.psd_tol}")
-
 
 DEFAULT_ORACLE = OracleTolerances()
 
@@ -44,7 +40,6 @@ class SpectrumResult:
     """Full spectrum of a symmetric matrix, ascending, with a residual check."""
 
     eigenvalues: np.ndarray
-    min_eigenvalue: float
     residual: float
 
 
@@ -88,26 +83,23 @@ def eigenvalues_symmetric(m: DenseOperator | np.ndarray) -> SpectrumResult:
         raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
     residual = float(np.max(np.abs(mat @ vecs - vecs * evals)))
     evals.flags.writeable = False
-    return SpectrumResult(evals, float(evals[0]), residual)
+    return SpectrumResult(evals, residual)
 
 
-def is_ppt_dense(
-    state: GhzDiagonalState,
-    partition: Bipartition,
-    tolerances: OracleTolerances = DEFAULT_ORACLE,
-) -> bool:
+def is_ppt_dense(state: GhzDiagonalState, partition: Bipartition) -> bool:
     """Positivity of the dense partial transpose across one partition.
 
     The smallest eigenvalue is >= -psd_tol exactly when PT + psd_tol * I
     is positive semidefinite, which a Cholesky factorization decides
-    without computing any eigenvalue: it succeeds or raises.
+    without computing any eigenvalue: it succeeds or raises.  ``psd_tol``
+    is read from this module's ``DEFAULT_ORACLE`` at each call.
     """
     pt = partial_transpose(to_dense(state), partition.alpha1)
     # Cholesky reads one triangle only.  The operator partial_transpose just
     # built checked its matrix for exact symmetry, and nothing else holds
     # that fresh array, so it can take the shift in place.
     mat = pt.matrix
-    mat.flat[:: pt.dim + 1] += tolerances.psd_tol
+    mat.flat[:: pt.dim + 1] += DEFAULT_ORACLE.psd_tol
     try:
         np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:

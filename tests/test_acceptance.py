@@ -95,7 +95,7 @@ def test_two_qubit_spectrum_equivalence():
     assert (b[0], c[0], d[0], e[0]) == (1.0, 1.0, 1.0, -1.0)
     low = eigenvalues_symmetric(
         partial_transpose(to_dense(bell), partition.alpha1)
-    ).min_eigenvalue
+    ).eigenvalues[0]
     assert abs(low - (-0.5)) < 1e-12
 
 

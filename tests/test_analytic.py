@@ -112,7 +112,7 @@ def test_pure_bell_state_coefficients():
     p = enumerate_bipartitions(2)[0]
     co = block_coefficients(s, SubsetMask(0, 2), p)
     assert co.as_tuple() == (1.0, 1.0, 1.0, -1.0)
-    low = eigenvalues_symmetric(partial_transpose(to_dense(s), p.alpha1)).min_eigenvalue
+    low = eigenvalues_symmetric(partial_transpose(to_dense(s), p.alpha1)).eigenvalues[0]
     assert low == pytest.approx(-0.5, abs=1e-15)
 
 

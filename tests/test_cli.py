@@ -819,3 +819,17 @@ def test_random_holds_one_state_at_a_time(fmt):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_basis_json_holds_one_chunk_of_rows_at_a_time():
+    # basis writes 2048 rows per chunk: n = 11 is one chunk, n = 13 four
+    peaks = []
+    for n in (11, 13):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                assert main(["basis", "--n", str(n), "--format", "json"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]

@@ -26,7 +26,6 @@ PUBLIC_NAMES = {
     "classify",
     "noise_threshold",
     "full_entanglement_threshold",
-    "OracleTolerances",
     "DEFAULT_ORACLE",
     "SpectrumResult",
     "partial_transpose",
@@ -37,7 +36,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(ghzent.__all__) == len(PUBLIC_NAMES) == 26
+    assert len(ghzent.__all__) == len(PUBLIC_NAMES) == 25
     assert set(ghzent.__all__) == PUBLIC_NAMES
     for name in ghzent.__all__:
         assert hasattr(ghzent, name), name
