@@ -143,7 +143,8 @@ def is_ppt(
     True iff every block coefficient is nonnegative (within ``tol``), which
     certifies the state biseparable across the partition.  The witness is
     the cut's entry of :func:`partition_minima`: ties go to the smallest
-    class, then B, C, D, E order.  A state's first call scans every cut.
+    class of a minimizing pair, then B, C, D, E order in its row.  A
+    state's first call scans every cut.
     ``tol`` must be a finite number >= 0; any other value raises ``ValueError``.
     """
     _check_tol(tol)
@@ -159,10 +160,12 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
     """Minimum block coefficient of every bipartition, from one pruned scan.
 
     Returns ``(values, classes, codes)`` in ``enumerate_bipartitions``
-    order: each cut's minimum coefficient, the class it belongs to and its
-    index into ``COEFFICIENT_NAMES``.  These are bit-identical to the
-    ``argmin`` over each cut's stacked (B, C, D, E) table, tie-break
-    included.  A state is scanned once: later calls return the same arrays,
+    order.  With s = lambda_plus + lambda_minus and a = |lambda_plus -
+    lambda_minus|, each rounded once per class, a cut's value is the least
+    term fl(s[j ^ alpha2] - a_j) over classes j.  Its class is the smallest
+    class of a pair (j, j ^ alpha2) holding that term, and its code the
+    first index into ``COEFFICIENT_NAMES`` of the least of that class's B,
+    C, D, E.  A state is scanned once: later calls return the same arrays,
     read-only, kept on the state and shared by its reports and thresholds.
     """
     if state._minima is None:
@@ -176,72 +179,43 @@ def partition_minima(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray, n
 def _scan_minima(lp, lm):
     """``partition_minima`` of the weights ``lp`` and ``lm``, always computed.
 
-    With s = lambda_plus + lambda_minus, d = lambda_plus - lambda_minus and
-    partner k = j ^ alpha2, the pair (j, k) contributes min(B_j, E_j) =
-    s_k - |d_j| and min(C_k, D_k) = s_k - |d_j| as well, so the minimum of
-    cut alpha2 is min_j (s[j ^ alpha2] - |d_j|).  The scan reaches the
-    pairs from two sides, a block of classes against every open cut at
-    once: rows j in decreasing |d_j| and partners k in increasing s_k, ties
-    to the smaller class, each block from the side whose next block raises
-    s_next - |d_next| more.  A side is sorted only on a prefix: before
-    each block, either side whose prefix does not reach its key one block
-    on is ranked to twice that position, and the key is read from the
-    prefix.  A pair not yet evaluated is unvisited on both sides, so it is
-    no smaller than s_next - |d_next|, and a cut is closed once that bound,
-    less a few-ulp margin, exceeds its minimum.  Near that point the bound
-    is made exact by putting the extremes of the unvisited operands into
-    the formulas' operation order; a cut whose minimum equals it can only
-    move its witness to a smaller row, and those rows are checked
-    directly.  Weights that tie in both s and |d|, such as quantised ones,
-    still evaluate O(4^n) pairs.
+    The scan reaches the terms from two sides, a block of classes against
+    every open cut at once: rows j in decreasing a_j and partners k in
+    increasing s_k, ties to the smaller class, each block from the side
+    whose next block raises s_next - a_next more.  A side is sorted only
+    on a prefix: before each block, either side whose prefix does not
+    reach its key one block on is ranked to twice that position, and the
+    key is read from the prefix.  A term not yet evaluated is unvisited on
+    both sides, and floating subtraction is monotone in each operand, so
+    it is no smaller than fl(s_next - a_next).  A cut whose minimum is
+    below that bound is closed; one whose minimum equals it can only move
+    its witness to a smaller class (:func:`_settle_ties`).  Weights that
+    tie in both s and a, such as quantised ones, still take O(4^n) terms.
     """
     n_cls = lp.size
     alpha2 = np.arange(n_cls - 1, 0, -1)
     s = lp + lm
-    neg_abs_d = -np.abs(lp - lm)
-    # Each coefficient below is evaluated in the operation order of the
-    # B, C, D, E formulas, so the values are exact table entries; the
-    # margin covers the rounding between them and the bound's s - |d|.
-    margin = 8.0 * np.finfo(float).eps * float(s.max())
+    neg_a = -np.abs(lp - lm)  # fl(s_k + neg_a_j) is fl(s_k - a_j)
     best = np.full(alpha2.size, np.inf)
     row = np.zeros(alpha2.size, dtype=np.int64)
     live = np.arange(alpha2.size)  # open cuts: minimum or witness may still change
     # Per side, rows (t = 0) then partners (t = 1): key, order of visit,
     # classes visited, length of the sorted prefix, and the next key.
-    keys = (neg_abs_d, s)
+    keys = (neg_a, s)
     orders = (np.arange(n_cls), np.arange(n_cls))
-    pos, ranked, nxt = [0, 0], [0, 0], [neg_abs_d.min(), s.min()]
-    # Work buffers for every block, allocated once per scan.  Plain temporaries
-    # (256 KiB at n = 12) give the same output but come as fresh pages: ~360
-    # minor faults and 1.5 ms per random n = 12 scan, not 0 and 1.0 (2-core Xeon).
+    pos, ranked, nxt = [0, 0], [0, 0], [neg_a.min(), s.min()]
+    # Work buffers for every block, allocated once per scan, so that blocks
+    # do not fault in fresh pages for their temporaries.
     size = min(_BLOCK_CLASSES * alpha2.size, max(_BLOCK_ENTRIES, alpha2.size))
     int_bufs = np.empty((2, size), dtype=np.int64)
-    float_bufs = np.empty((4, size))
-    exact_at = None
+    term_buf = np.empty(size)
     while max(pos) < n_cls:
-        (rows, partners), (r, p), (d_next, s_next) = orders, pos, nxt
-        bound = s_next + d_next
-        live = live[best[live] >= bound - margin]
-        if live.size and best[live].min() <= bound + margin:
-            # Floating + and - are monotone in each operand, so this bounds
-            # every entry of an unvisited pair with no margin.  It stays a
-            # bound as the unvisited sets shrink, so it is only recomputed
-            # when s_next or |d_next| moves.
-            if exact_at != (d_next, s_next):
-                exact_at = (d_next, s_next)
-                lp_j = lp[rows[r:]]
-                lm_j = lm[rows[r:]]
-                exact = min(
-                    ((d_next + lp[partners[p:]]) + lm[partners[p:]]).min(),
-                    ((s_next - lp_j) + lm_j).min(),
-                    ((s_next + lp_j) - lm_j).min(),
-                )
-            live = live[best[live] >= exact]
-            tied = best[live] == exact
-            if tied.any():
-                live = np.concatenate(
-                    (live[~tied], _settle_ties(lp, lm, alpha2, row, live[tied], exact))
-                )
+        bound = nxt[1] + nxt[0]
+        live = live[best[live] >= bound]
+        tied = (best[live] == bound) & (row[live] <= _BLOCK_CLASSES)
+        if tied.any():
+            _settle_ties(s, neg_a, alpha2, row, live[tied], bound)
+            live = live[~tied]
         if not live.size:
             break
         step = max(1, min(_BLOCK_CLASSES, _BLOCK_ENTRIES // live.size))
@@ -251,52 +225,30 @@ def _scan_minima(lp, lm):
             if ranked[t] <= i < n_cls:  # keep the side sorted past i
                 ranked[t] = _rank_prefix(keys[t], orders[t], ranked[t], 2 * i)
             ahead.append(keys[t][orders[t][i]] if i < n_cls else np.inf)
-        t = int(ahead[1] - s_next > ahead[0] - d_next)
+        t = int(ahead[1] - nxt[1] > ahead[0] - nxt[0])
         end = min(pos[t] + step, n_cls)
         block = orders[t][pos[t] : end, None]
         pos[t], nxt[t] = end, ahead[t]
         cut = alpha2[live]
-        idx, hits = int_bufs[:, : block.size * cut.size].reshape(2, block.size, cut.size)
-        x, y, be, cd = float_bufs[:, : block.size * cut.size].reshape(4, block.size, cut.size)
-        other = np.bitwise_xor(block, cut, out=idx)
-        j, k = (other, block) if t else (block, other)
-        # min(B_j, E_j) in row j and min(C_k, D_k) in row k, in the buffers.
-        lp_j = _gather(lp, j, other, x)
-        lm_j = _gather(lm, j, other, y)
-        lp_k = _gather(lp, k, other, x)
-        lm_k = _gather(lm, k, other, y)
-        np.add(_gather(neg_abs_d, j, other, be), lp_k, out=be)
-        be += lm_k
-        s_k = np.add(lp_k, lm_k, out=lp_k)  # s[k]: the same sum of the same weights
-        np.subtract(s_k, lp_j, out=cd)
-        cd += lm_j
-        coef_d = np.add(s_k, lp_j, out=x)
-        coef_d -= lm_j
-        np.minimum(cd, coef_d, out=cd)
-        low = np.minimum(be.min(axis=0), cd.min(axis=0))
+        other, pair = int_bufs[:, : block.size * cut.size].reshape(2, block.size, cut.size)
+        term = term_buf[: block.size * cut.size].reshape(block.size, cut.size)
+        np.bitwise_xor(block, cut, out=other)
+        # The block's own key plus the other side's key at each partner.
+        np.take(keys[1 - t], other, out=term)
+        term += keys[t][block]
+        low = term.min(axis=0)
+        # With the classes shifted below zero, the smallest pair class holding
+        # low in a column is the column minimum of (term == low) * (class - n_cls).
+        np.minimum(block, other, out=pair)
+        pair -= n_cls
+        first = n_cls + np.multiply(term == low, pair, out=pair).min(axis=0)
         held = best[live]
-        # With the rows shifted below zero, the smallest row holding low in
-        # a column is the column minimum of (value == low) * (row - n_cls).
-        other -= n_cls
-        j_off, k_off = (other, block - n_cls) if t else (block - n_cls, other)
-        first = n_cls + np.minimum(
-            np.multiply(be == low, j_off, out=hits).min(axis=0),
-            np.multiply(cd == low, k_off, out=hits).min(axis=0),
-        )
         take = (low < held) | ((low == held) & (first < row[live]))
         best[live[take]] = low[take]
         row[live[take]] = first[take]
-    partner = row ^ alpha2
-    table = np.stack(
-        _coefficients_from_weights(lp[row], lm[row], lp[partner], lm[partner]), axis=1
-    )
-    codes = np.argmin(table, axis=1)
-    return table[np.arange(row.size), codes], row, codes
-
-
-def _gather(values, index, per_cut, out):
-    """``values[index]``, written into ``out`` when ``index`` is the per-cut array."""
-    return np.take(values, index, out=out) if index is per_cut else values[index]
+    k = row ^ alpha2
+    table = np.stack(_coefficients_from_weights(lp[row], lm[row], lp[k], lm[k]), axis=1)
+    return best, row, np.argmin(table, axis=1)
 
 
 def _rank_prefix(key, order, ranked, m) -> int:
@@ -325,29 +277,25 @@ def _rank_prefix(key, order, ranked, m) -> int:
     return m
 
 
-def _settle_ties(lp, lm, alpha2, row, cuts, top) -> np.ndarray:
-    """Settle cuts whose minimum ``top`` equals the scan's exact stop bound.
+def _settle_ties(s, neg_a, alpha2, row, cuts, top) -> None:
+    """Settle the witness of cuts whose minimum ``top`` equals the scan's stop bound.
 
-    No unvisited entry is below ``top``, so a tied cut keeps its minimum,
-    and its witness can only move to a smaller row holding the same value;
-    witness row 0 is final.  For a cut whose witness row is at most one
-    block of classes, the four entries of every smaller row are evaluated
-    in the formulas' operation order.  Returns the cuts left open.
+    No term not yet evaluated is below ``top``, so such a cut keeps its
+    minimum, and its witness can only move to a smaller class whose pair
+    holds ``top`` too; witness class 0 is final.  The witness of each of
+    ``cuts`` is at most one block of classes, so the two terms of every
+    smaller class's pair are evaluated here and the cut is done.
     """
-    fits = row[cuts] <= _BLOCK_CLASSES
-    done = cuts[fits]
-    counts = row[done]
+    counts = row[cuts]
     total = int(counts.sum())
     if total:
         starts = np.cumsum(counts) - counts
-        cut = np.repeat(done, counts)
-        i = np.arange(total) - np.repeat(starts, counts)
-        k = i ^ alpha2[cut]
-        low = np.minimum.reduce(_coefficients_from_weights(lp[i], lm[i], lp[k], lm[k]))
-        hit = np.where(low == top, i, row[cut])
+        cut = np.repeat(cuts, counts)
+        j = np.arange(total) - np.repeat(starts, counts)
+        k = j ^ alpha2[cut]
+        hit = np.where(np.minimum(s[k] + neg_a[j], s[j] + neg_a[k]) == top, j, row[cut])
         held = counts > 0
-        row[done[held]] = np.minimum.reduceat(hit, starts[held])
-    return cuts[~fits]
+        row[cuts[held]] = np.minimum.reduceat(hit, starts[held])
 
 
 def partition_thresholds(state: GhzDiagonalState) -> np.ndarray:

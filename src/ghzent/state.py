@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -220,6 +221,8 @@ def _weight_columns(entries: list, n: int, convention: str):
     """
     if not _all_instances(entries, dict):
         return None
+    if not set(chain.from_iterable(entries)) <= {"beta", "plus", "minus"}:
+        return None
     betas = [e.get("beta") for e in entries]
     plus = [e.get("plus", 0.0) for e in entries]
     minus = [e.get("minus", 0.0) for e in entries]
@@ -276,6 +279,9 @@ def _first_bad_entry(entries: list, n: int, convention: str) -> ValueError:
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             return ValueError(f"field 'weights[{pos}]' must be an object")
+        extra = [key for key in entry if key not in ("beta", "plus", "minus")]
+        if extra:
+            return ValueError(f"unknown field 'weights[{pos}].{extra[0]}'")
         beta = entry.get("beta")
         if not (isinstance(beta, str) and len(beta) == n and not beta.strip("01")):
             return _beta_error(beta, pos, n)
@@ -311,10 +317,14 @@ def state_from_json_dict(data: dict) -> GhzDiagonalState:
     ``convention`` selects the weight bookkeeping: ``canonical`` (default)
     lists each class once under its canonical bit string; ``full`` may
     list any subset, a class and its complement must then agree.  Omitted
-    classes default to zero weight.
+    classes default to zero weight.  Any key but ``n``, ``convention`` and
+    ``weights``, or in an entry ``beta``, ``plus`` and ``minus``, is an error.
     """
     if not isinstance(data, dict):
         raise ValueError("state JSON must be an object")
+    extra = [key for key in data if key not in ("n", "convention", "weights")]
+    if extra:
+        raise ValueError(f"unknown field '{extra[0]}'")
     n = data.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"field 'n' must be an integer qubit count, got {n!r}")

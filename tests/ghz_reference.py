@@ -176,11 +176,16 @@ def _reference_number(value) -> float:
 def reference_state_from_json_dict(data: dict) -> GhzDiagonalState:
     """``state_from_json_dict`` one entry at a time, raising at the first bad one.
 
+    Only ``n``, ``convention`` and ``weights`` are top-level fields, and only
+    ``beta``, ``plus`` and ``minus`` fields of an entry; any other key is bad.
     A repeated class passes only when both of its weights agree with the
     first entry of that class within ``WEIGHT_CLAMP``; a NaN never agrees.
     """
     if not isinstance(data, dict):
         raise ValueError("state JSON must be an object")
+    for key in data:
+        if key not in ("n", "convention", "weights"):
+            raise ValueError(f"unknown field '{key}'")
     n = data.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"field 'n' must be an integer qubit count, got {n!r}")
@@ -200,6 +205,9 @@ def reference_state_from_json_dict(data: dict) -> GhzDiagonalState:
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"field 'weights[{pos}]' must be an object")
+        for key in entry:
+            if key not in ("beta", "plus", "minus"):
+                raise ValueError(f"unknown field 'weights[{pos}].{key}'")
         beta = entry.get("beta")
         if not (isinstance(beta, str) and len(beta) == n and not beta.strip("01")):
             raise _reference_beta_error(beta, pos, n)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ghz_reference import (
     canonical_beta,
     enumerate_canonical_betas,
+    ghz_vector,
     mix_with_white_noise,
     phi_vector,
     weight,
@@ -360,7 +361,37 @@ def test_coefficient_names_order():
     assert COEFFICIENT_NAMES == ("B", "C", "D", "E")
 
 
-# -- the all-partition scan against the four-array table -----------------------
+# -- the all-partition scan against its definition ------------------------------
+
+
+def reference_pair_cut(state, p):
+    """One cut of ``partition_minima`` straight from its definition.
+
+    The value is the least term s[k] - |d_j| over classes j, k = j ^ alpha2,
+    with s and |d| rounded once per class; the class is the smallest class
+    of a pair (j, k) whose term is that value; the code is the first least
+    of B, C, D, E in that class's row.
+    """
+    lp, lm = state.lambda_plus, state.lambda_minus
+    j = np.arange(lp.size)
+    k = j ^ p.alpha2.bits
+    term = (lp + lm)[k] - np.abs(lp - lm)
+    value = term.min()
+    w = int(np.minimum(j, k)[term == value].min())
+    x = w ^ p.alpha2.bits
+    row = (
+        lp[w] - lm[w] + lp[x] + lm[x],
+        lp[w] + lm[w] - lp[x] + lm[x],
+        lp[w] + lm[w] + lp[x] - lm[x],
+        -lp[w] + lm[w] + lp[x] + lm[x],
+    )
+    return value, w, int(np.argmin(row))
+
+
+def reference_pair_minima(state):
+    """``reference_pair_cut`` of every cut, as columns."""
+    cuts = [reference_pair_cut(state, p) for p in enumerate_bipartitions(state.n)]
+    return tuple(map(np.array, zip(*cuts)))
 
 
 def reference_cut(state, p):
@@ -368,6 +399,8 @@ def reference_cut(state, p):
 
     Returns the minimum, its class, its coefficient code and the cut's full
     table, ties resolved by flat index: smallest class, then B, C, D, E.
+    Each value is an exact table entry, within a few ulps of the pair
+    formula's.
     """
     table = np.stack(coefficient_arrays(state, p), axis=1)
     k, which = divmod(int(np.argmin(table)), 4)
@@ -390,13 +423,8 @@ def reference_threshold(minimum, n):
 
 def assert_minima_match_reference(state):
     values, classes, codes = partition_minima(state)
-    ref_values, ref_classes, ref_codes, tables = reference_minima(state)
+    ref_values, ref_classes, ref_codes = reference_pair_minima(state)
     assert np.array_equal(values, ref_values)  # bit-equal, not approximately
-    for i, table in enumerate(tables):
-        k, c = int(classes[i]), int(codes[i])
-        assert table[k, c] == values[i]  # the witness points at its value
-        # nothing earlier in class-then-B/C/D/E order attains the minimum
-        assert not (table.ravel()[: 4 * k + c] == values[i]).any()
     assert np.array_equal(classes, ref_classes)
     assert np.array_equal(codes, ref_codes)
 
@@ -584,8 +612,8 @@ def test_partition_minima_tie_break_on_flat_weights():
     ],
 )
 def test_classify_settles_tied_states_at_n14_quickly(state):
-    # Flat |d| and lambda_plus = lambda_minus tie on every cut; an exact stop
-    # bound and the witness-row tie check settle them in a block or two
+    # Flat |d| and lambda_plus = lambda_minus tie on every cut; the stop
+    # bound and the tie check on smaller classes settle them in a block or two
     # (a few ms) instead of visiting all 8192 classes (about a second).
     # A fresh copy each time: a state keeps its scan, so a repeat would time nothing.
     times = []
@@ -599,7 +627,7 @@ def test_classify_settles_tied_states_at_n14_quickly(state):
 
 @pytest.mark.parametrize("state", scan_corpus())
 def test_thresholds_match_per_cut_noise_threshold(state):
-    minima = reference_minima(state)[0]
+    minima = reference_pair_minima(state)[0]
     per_cut = np.array([reference_threshold(m, state.n) for m in minima])
     thresholds = partition_thresholds(state)
     assert np.array_equal(thresholds, per_cut)
@@ -619,7 +647,7 @@ def per_cut_corpus():
 def test_per_cut_calls_match_per_cut_reference(state):
     # is_ppt and noise_threshold read the scan; the reference never runs it.
     for p in enumerate_bipartitions(state.n):
-        value, k, which, _ = reference_cut(state, p)
+        value, k, which = reference_pair_cut(state, p)
         for tol in (1e-12, 0.0):
             ppt, witness = is_ppt(state, p, tol=tol)
             assert ppt is bool(value >= -tol)
@@ -627,6 +655,35 @@ def test_per_cut_calls_match_per_cut_reference(state):
             assert witness.beta == SubsetMask(k, state.n)
             assert witness.coefficient == COEFFICIENT_NAMES[which]
         assert noise_threshold(state, p) == reference_threshold(value, state.n)
+
+
+def certificate_corpus():
+    for n in range(2, 7):
+        p_star = (1 << n) / ((1 << n) + 2)
+        for seed in range(3):
+            yield pytest.param(random_state(n, seed), id=f"random-n{n}-seed{seed}")
+        yield pytest.param(ghz_at(n, p_star - 1e-9), id=f"ghz-n{n}-below-p*")
+        yield pytest.param(quantised_state(n, 0), id=f"quantised-n{n}")
+        yield pytest.param(dephased_state(n, 0), id=f"dephased-n{n}")
+
+
+@pytest.mark.parametrize("state", certificate_corpus())
+def test_witness_is_a_ghz_vector_of_the_partial_transpose(state):
+    # The partial transpose of a block is diagonal in its four GHZ vectors:
+    # across cut alpha, with witness class j and k = j ^ alpha2, B is
+    # 2 <G_k+|rho^T|G_k+>, C of G_j-, D of G_j+ and E of G_k-.  So the reported
+    # witness names a vector G with <G|rho^T|G> = value / 2, and a negative
+    # value certifies NPT across the cut.
+    n = state.n
+    report = classify(state)
+    for p, value, j, code in zip(
+        enumerate_bipartitions(n), report.values, report.classes, report.codes
+    ):
+        k = int(j) ^ p.alpha2.bits
+        beta, sign = ((k, +1), (j, -1), (j, +1), (k, -1))[code]
+        g = ghz_vector(SubsetMask(int(beta), n), sign).to_dense()
+        pt = partial_transpose(to_dense(state), p.alpha1).matrix
+        assert abs(g @ pt @ g - value / 2) <= 1e-14
 
 
 # -- the scan is kept on the state ------------------------------------------------

@@ -582,7 +582,7 @@ def test_table_lines_are_pinned(capsys):
     lines = out.splitlines()
     assert (rc, len(lines)) == (1, 513)
     assert lines[1] == (
-        "  1|2,3,4,5,6,7,8,9,10  PPT (biseparable)  worst D[0101101100] = -0.00692973303341"
+        "  1|2,3,4,5,6,7,8,9,10  PPT (biseparable)  worst B[0010010011] = -0.00692973303341"
     )
     assert lines[-1] == "verdict: not fully entangled (511/511 partitions PPT)"
     rc, out, _ = run(capsys, "threshold", "--input", text)

@@ -409,6 +409,35 @@ def test_nan_in_a_repeated_class_conflicts(capsys, convention, repeat, field):
         assert (out.out, out.err) == ("", message)
 
 
+@pytest.mark.parametrize(
+    "weights, extra, field",
+    [
+        ('{"beta": "00", "plus": 1.0, "minsu": 1e-13}', "", "weights[0].minsu"),
+        ('{"beta": "00", "plus": 1.0}', ', "extra": 1', "extra"),
+        ('{"beta": "00", "plus": 1.0, "minsu": 1e-13}', ', "extra": 1', "extra"),
+        (
+            '{"beta": "00", "plus": 0.5}, {"beta": "01", "plus": 0.5, "bogus": 3}',
+            "",
+            "weights[1].bogus",
+        ),
+    ],
+)
+def test_unknown_keys_exit_two_naming_the_field(capsys, weights, extra, field):
+    # A misspelt "minsu" once dropped its weight silently, and "extra" passed.
+    text = f'{{"n": 2, "weights": [{weights}]{extra}}}'
+    for command in ("classify", "threshold"):
+        assert main([command, "--input", text, "--format", "json"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: unknown field '{field}'\n")
+
+
+def test_repeated_keys_are_read_last_wins():
+    # json.loads keeps the last value of a repeated key; rejecting repeats
+    # would take an object_pairs_hook on every parse.
+    text = '{"n": 3, "n": 2, "weights": [{"beta": "00", "plus": 0.5, "plus": 1.0}]}'
+    assert load_state(text) == GhzDiagonalState.pure_ghz(2)
+
+
 def test_integer_weights_are_numbers():
     as_ints = load_state('{"n": 2, "weights": [{"beta": "00", "plus": 1, "minus": 0}]}')
     assert as_ints == GhzDiagonalState.pure_ghz(2)
@@ -421,7 +450,8 @@ ODD_WEIGHTS = (
 )
 ODD_BETAS = ("０１", "0b1", "1_0", " 10", "+01", "", 5, None)
 NON_DICT_ENTRIES = ("x", 3, None, [], [{"beta": "00"}])
-EDITS = ("same", "clamp", "conflict", "weight", "drop", "beta", "object")
+ODD_KEYS = ("minsu", "Plus", "beta ", "", "weights", "n")
+EDITS = ("same", "clamp", "conflict", "weight", "drop", "beta", "object", "key")
 
 
 @st.composite
@@ -429,9 +459,10 @@ def weight_documents(draw):
     """Weight lists built around a normalised state, then edited.
 
     The edits repeat a class (identically, within the clamp, or in
-    conflict), swap a weight for an odd value, drop a weight, break a beta
-    or insert a non-object entry.  Most edited documents are rejected, and
-    the first bad entry decides the message.
+    conflict), swap a weight for an odd value, drop a weight, break a beta,
+    insert a non-object entry or add an unknown key to an entry; the
+    document itself may get an unknown key too.  Most edited documents are
+    rejected, and the first bad entry decides the message.
     """
     n = draw(st.integers(2, 5))
     top = 1 << (n - 1)
@@ -470,9 +501,13 @@ def weight_documents(draw):
             entries.insert(pos, {**entry, "plus": 1.0})
         elif edit == "object":
             entries.insert(pos, draw(st.sampled_from(NON_DICT_ENTRIES)))
+        elif edit == "key" and target is not None:
+            target[draw(st.sampled_from(ODD_KEYS))] = 0.0
     doc = {"n": n, "weights": entries}
     if convention is not None:
         doc["convention"] = convention
+    if draw(st.integers(0, 9)) == 0:
+        doc[draw(st.sampled_from(ODD_KEYS[:4]))] = 1
     return doc
 
 

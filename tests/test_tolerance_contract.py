@@ -8,8 +8,9 @@ so every weight is exactly the decimal written.  It clamps tiny negatives as
 path does neither more nor less.  It then takes every cut's minimum block
 coefficient M(alpha) = min_j (s[j ^ alpha2] - |d_j|) exactly, in integers
 over one common denominator.  It shares that identity with the scan; what it
-checks independently is the rounding: the float parse, and the B, C, D, E
-formulas in their operation order.
+checks independently is the rounding: the float parse, and the scan's
+s = lambda_plus + lambda_minus, |d| = |lambda_plus - lambda_minus| and their
+difference.
 
 The contract pinned here: |M_float - M_exact| <= BOUND_C * eps * max(s), and
 a verdict at tol = 1e-12 or tol = 0 equals the exact verdict unless
@@ -22,10 +23,11 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ghz_reference import mix_with_white_noise
-from ghzent.analytic import COEFFICIENT_TOL, classify
+from ghzent.analytic import COEFFICIENT_TOL, classify, partition_minima
 from ghzent.state import (
     WEIGHT_CLAMP,
     GhzDiagonalState,
@@ -33,14 +35,23 @@ from ghzent.state import (
     random_state,
     state_to_json_dict,
 )
-from test_analytic import dephased_state, ghz_at, quantised_state
+from test_analytic import (
+    dephased_state,
+    ghz_at,
+    large_scan_corpus,
+    quantised_state,
+    reference_minima,
+    scan_corpus,
+)
 
 EPS = Fraction(sys.float_info.epsilon)
 
 # Measured on the 3444 cuts of the corpus below: at most 1.03, on the near
-# maximally mixed n = 8 state.  A first-order worst case is 4: the parse moves
-# each of a pair's four weights by eps/2 of itself, and each of the formula's
-# three roundings by eps/2 of a partial sum of at most 2 max(s).
+# maximally mixed n = 8 state, both for the pair formula and for the B, C, D,
+# E formulas in their own order.  A first-order worst case for the pair
+# formula is 2.5: the parse moves each of a pair's four weights by eps/2 of
+# itself, and each of the three roundings (s, |d|, their difference) moves the
+# value by at most eps/2 * max(s).
 BOUND_C = 2
 
 
@@ -130,25 +141,47 @@ def test_verdicts_are_exact_outside_the_rounding_band(tol):
                 assert verdict == (exact >= -exact_tol), (n, i, cut, float(exact))
     # At tol = 1e-12 no cut of the corpus is in the band, so every verdict is
     # exact.  At tol = 0 GHZ + noise at p* (n = 3..6) and the quantised states
-    # put 63 cuts there, with minima 0 or a few ulps from it; 3 verdicts differ.
+    # put 63 cuts there, with minima 0 or a few ulps from it; 3 verdicts differ,
+    # exact minima of -1e-18 and -2e-18 that the scan reads as 0.
     assert banded == (63 if tol == 0.0 else 0)
 
 
 # Two qubits with Bell weights 1/2, 0, 0.09, 0.41: PPT, with minimum exactly 0
-# as written, but the float sum 0.09 + 0.41 rounds below 0.5.
+# as written.  The scan's s = 0.09 + 0.41 rounds once, to 0.5, so the pair
+# formula reads the minimum as exactly 0.
 BELL_ON_THE_BOUNDARY = (
     '{"n": 2, "weights": [{"beta": "00", "plus": 0.5, "minus": 0.0},'
     ' {"beta": "01", "plus": 0.09, "minus": 0.41}]}'
 )
 
 
-def test_an_exact_zero_minimum_rounds_below_zero():
+def test_an_exact_zero_minimum_reads_zero_and_is_ppt_at_tol_zero():
     (exact,), max_s = exact_minima(BELL_ON_THE_BOUNDARY)
     assert exact == 0
     state = load_state(BELL_ON_THE_BOUNDARY)
     (value,) = classify(state).values.tolist()
-    assert value == -2.0**-54
+    assert value == 0.0
     assert abs(Fraction(value)) <= BOUND_C * EPS * max_s
-    # so tol = 0 calls this exactly-PPT state NPT, and the default tolerance does not
-    assert classify(state, tol=0.0).full_entangled
+    # E in its own formula's order rounds below 0; the pair formula rounds s
+    # first, to 0.5, so tol = 0 gives this exactly-PPT state its exact verdict.
+    assert ((-0.5 + 0.0) + 0.09) + 0.41 == -(2.0**-54)
+    assert not classify(state, tol=0.0).full_entangled
     assert not classify(state).full_entangled
+
+
+# -- the pair formula against the stacked table it replaced ----------------------
+
+
+@pytest.mark.parametrize("state", [*scan_corpus(), *large_scan_corpus()])
+def test_minima_are_within_the_bound_of_the_stacked_table(state):
+    # Each stacked value is an exact B, C, D, E table entry; the pair formula
+    # rounds s and |d| first, so values may differ in their last bits, and a
+    # tied witness may move to the other class of its pair.
+    values, classes, codes = partition_minima(state)
+    ref_values, _, _, tables = reference_minima(state)
+    unit = sys.float_info.epsilon * float((state.lambda_plus + state.lambda_minus).max())
+    assert np.abs(values - ref_values).max() <= BOUND_C * unit
+    assert np.array_equal(values >= -COEFFICIENT_TOL, ref_values >= -COEFFICIENT_TOL)
+    # the witness's coefficient is the value, to the same rounding
+    at_witness = np.array([table[k, c] for table, k, c in zip(tables, classes, codes)])
+    assert np.abs(at_witness - values).max() <= BOUND_C * unit
