@@ -22,7 +22,6 @@ from .subsets import (
     enumerate_bipartitions,
 )
 from .state import (
-    DenseOperator,
     GhzDiagonalState,
     load_state,
     random_state,
@@ -56,7 +55,6 @@ __all__ = [
     "Bipartition",
     "enumerate_bipartitions",
     "GhzDiagonalState",
-    "DenseOperator",
     "to_dense",
     "random_state",
     "state_to_json_dict",

@@ -3,7 +3,8 @@
 Subcommands: classify, oracle-check, random, threshold, basis, bench.
 For ``classify`` the exit code carries the physics verdict: 0 means fully
 entangled (NPT on every cut), 1 means some partition is PPT (biseparable
-there), 2 means the input was rejected.  JSON output is byte-deterministic
+there), 2 means the input was rejected.  Every subcommand exits 141
+(128 + SIGPIPE) when its reader closes stdout early.  JSON output is byte-deterministic
 for fixed inputs, seeds and flags; bench emits CSV timings and is the one
 exception.
 """
@@ -15,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 import time
 
@@ -48,14 +50,16 @@ from .state import (
 from .subsets import (
     Bipartition,
     bipartition_bit_strings,
+    bipartition_split_strings,
     bit_strings,
     enumerate_bipartitions,
-    split_string,
 )
 
 EXIT_FULL_ENTANGLED = 0
 EXIT_NOT_FULL_ENTANGLED = 1
 EXIT_INPUT_ERROR = 2
+# 128 + SIGPIPE, as a shell reports a process killed by writing to a closed pipe
+EXIT_BROKEN_PIPE = 141
 
 BENCH_CSV_HEADER = "path,n,partitions,median_ms"
 
@@ -127,7 +131,6 @@ def cmd_classify(args) -> int:
     state = _load_text(_read_input(args.input))
     report = classify(state, tol=args.tol)
     n = report.n
-    alpha1 = bipartition_bit_strings(n)
     ppt, _, codes, values = report.columns()
     betas = bit_strings(report.classes, n)
     coeffs = list(map(COEFFICIENT_NAMES.__getitem__, codes))
@@ -135,7 +138,7 @@ def cmd_classify(args) -> int:
         fields = f'  "n": {n},\n  "full_entangled": {_JSON_BOOL[report.full_entangled]}'
         row = (
             '    {\n      "alpha1": "',
-            alpha1,
+            bipartition_bit_strings(n),
             '",\n      "ppt": ',
             list(map(_JSON_BOOL.__getitem__, ppt)),
             ',\n      "worst": {\n        "beta": "',
@@ -151,7 +154,8 @@ def cmd_classify(args) -> int:
         print(f"n = {n}, partitions = {len(values)}")
         status = map(("NPT", "PPT (biseparable)").__getitem__, ppt)
         line = "  {:>15}  {:<18} worst {}[{}] = {:+.12g}".format
-        print("\n".join(map(line, map(split_string, alpha1), status, coeffs, betas, values)))
+        labels = bipartition_split_strings(n)
+        print("\n".join(map(line, labels, status, coeffs, betas, values)))
         verdict = "fully entangled" if report.full_entangled else "not fully entangled"
         print(f"verdict: {verdict} ({sum(ppt)}/{len(values)} partitions PPT)")
     return EXIT_FULL_ENTANGLED if report.full_entangled else EXIT_NOT_FULL_ENTANGLED
@@ -235,7 +239,6 @@ def cmd_random(args) -> int:
 def cmd_threshold(args) -> int:
     state = _load_text(_read_input(args.input))
     thresholds = partition_thresholds(state)
-    alpha1 = bipartition_bit_strings(state.n)
     overall = float(thresholds.min())
     plus, minus = state.lambda_plus, state.lambda_minus
     ghz_closed_form = None
@@ -250,7 +253,7 @@ def cmd_threshold(args) -> int:
         )
         row = (
             '    {\n      "alpha1": "',
-            alpha1,
+            bipartition_bit_strings(state.n),
             '",\n      "threshold": ',
             list(map(repr, thresholds.tolist())),
             "\n    },\n",
@@ -259,7 +262,8 @@ def cmd_threshold(args) -> int:
     else:
         print(f"n = {state.n}")
         line = "  {:>15}  threshold = {:.12g}".format
-        print("\n".join(map(line, map(split_string, alpha1), thresholds.tolist())))
+        labels = bipartition_split_strings(state.n)
+        print("\n".join(map(line, labels, thresholds.tolist())))
         print(f"full-entanglement threshold = {overall:.12g}")
         if ghz_closed_form is not None:
             print(f"pure GHZ input: closed form 2^n/(2^n+2) = {ghz_closed_form:.12g}")
@@ -416,10 +420,19 @@ def main(argv=None) -> int:
         print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except BrokenPipeError:
+        # The reader is gone.  stdout now writes to devnull, so the
+        # interpreter's last flush of what is still buffered cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import DenseOperator, GhzDiagonalState, to_dense
+from .state import MAX_DENSE_QUBITS, GhzDiagonalState, to_dense
 from .subsets import Bipartition, SubsetMask
 
 
@@ -43,18 +43,30 @@ class SpectrumResult:
     residual: float
 
 
-def partial_transpose(rho: DenseOperator, alpha: SubsetMask) -> DenseOperator:
+def _qubit_count(matrix: np.ndarray) -> int:
+    """n of a 2^n x 2^n matrix; ValueError for any other shape."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    n = (matrix.shape[0] - 1).bit_length()
+    if (1 << n) != matrix.shape[0]:
+        raise ValueError(f"dimension {matrix.shape[0]} is not a power of two")
+    return n
+
+
+def partial_transpose(matrix: np.ndarray, alpha: SubsetMask) -> np.ndarray:
     """Transpose the tensor factors of the qubits in ``alpha``.
 
     The matrix is viewed as a tensor with one row and one column axis per
     qubit, and the two axes of every qubit in ``alpha`` are swapped, which
     exchanges the alpha bits of the row and column indices.  The empty set
-    is the identity; the full set is total transposition.  The result is
-    always a fresh array.
+    is the identity; the full set is total transposition.  The input is
+    only read, and the result is always a fresh C-ordered array.  Entries
+    are only permuted, so the partial transpose of an exactly symmetric
+    matrix is exactly symmetric.
     """
-    if alpha.n != rho.n:
-        raise ValueError(f"mixed qubit counts {alpha.n} and {rho.n}")
-    n = rho.n
+    n = _qubit_count(matrix)
+    if alpha.n != n:
+        raise ValueError(f"mixed qubit counts {alpha.n} and {n}")
     axes = list(range(2 * n))
     for q in range(n):
         if alpha.bits >> q & 1:
@@ -63,20 +75,25 @@ def partial_transpose(rho: DenseOperator, alpha: SubsetMask) -> DenseOperator:
             axes[row], axes[row + n] = row + n, row
     # copy() lays the swapped tensor out in C order, so the reshape is a
     # view of a fresh array, also for the empty mask.
-    swapped = rho.matrix.reshape((2,) * (2 * n)).transpose(axes).copy()
-    return DenseOperator(swapped.reshape(rho.dim, rho.dim), n)
+    return matrix.reshape((2,) * (2 * n)).transpose(axes).copy().reshape(matrix.shape)
 
 
-def eigenvalues_symmetric(m: DenseOperator | np.ndarray) -> SpectrumResult:
+def eigenvalues_symmetric(matrix) -> SpectrumResult:
     """Full real spectrum of a symmetric matrix, sorted ascending.
 
     Delegates to LAPACK's symmetric eigensolver and reports the worst
     residual max-norm of M v - e v so callers can see the achieved
-    accuracy.  Non-convergence raises instead of looping.  Every input,
-    a ``DenseOperator`` too, is checked as ``DenseOperator.from_matrix``
-    checks it: an operator's matrix can still be written after it is built.
+    accuracy.  Non-convergence raises instead of looping.  This is where
+    a matrix from outside is checked: square, a power-of-two dimension,
+    at most ``MAX_DENSE_QUBITS`` qubits, and exactly symmetric.
     """
-    mat = DenseOperator.from_matrix(m.matrix if isinstance(m, DenseOperator) else m).matrix
+    mat = np.asarray(matrix, dtype=float)
+    n = _qubit_count(mat)
+    if not 1 <= n <= MAX_DENSE_QUBITS:
+        raise ValueError(f"dense path supports 1..{MAX_DENSE_QUBITS} qubits, got {n}")
+    if not np.array_equal(mat, mat.T):
+        i, j = np.unravel_index(int(np.argmax(np.abs(mat - mat.T))), mat.shape)
+        raise ValueError(f"matrix not exactly symmetric, worst element ({i},{j})")
     try:
         evals, vecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -95,13 +112,12 @@ def is_ppt_dense(state: GhzDiagonalState, partition: Bipartition) -> bool:
     is read from this module's ``DEFAULT_ORACLE`` at each call.
     """
     pt = partial_transpose(to_dense(state), partition.alpha1)
-    # Cholesky reads one triangle only.  The operator partial_transpose just
-    # built checked its matrix for exact symmetry, and nothing else holds
-    # that fresh array, so it can take the shift in place.
-    mat = pt.matrix
-    mat.flat[:: pt.dim + 1] += DEFAULT_ORACLE.psd_tol
+    # Cholesky reads one triangle only.  to_dense's matrix is exactly
+    # symmetric and a partial transpose only permutes entries, so pt is
+    # too; nothing else holds that fresh array, so it takes the shift in place.
+    pt.flat[:: pt.shape[0] + 1] += DEFAULT_ORACLE.psd_tol
     try:
-        np.linalg.cholesky(mat)
+        np.linalg.cholesky(pt)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -9,7 +9,6 @@ complementary subset, which share the same projectors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -108,39 +107,6 @@ class GhzDiagonalState:
         return f"GhzDiagonalState(n={self._n}, nonzero_weights={nz})"
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """Real symmetric operator on n qubits, exactly symmetric by contract."""
-
-    matrix: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_DENSE_QUBITS:
-            raise ValueError(f"dense path supports 1..{MAX_DENSE_QUBITS} qubits, got {self.n}")
-        m = self.matrix
-        dim = 1 << self.n
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix shape {m.shape} does not match n={self.n}")
-        if not np.array_equal(m, m.T):
-            i, j = np.unravel_index(int(np.argmax(np.abs(m - m.T))), m.shape)
-            raise ValueError(f"matrix not exactly symmetric, worst element ({i},{j})")
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "DenseOperator":
-        m = np.array(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        n = int(m.shape[0]).bit_length() - 1
-        if (1 << n) != m.shape[0]:
-            raise ValueError(f"dimension {m.shape[0]} is not a power of two")
-        return cls(m, n)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
-
 def _dense_from_weights(n: int, lambda_plus: np.ndarray, lambda_minus: np.ndarray) -> np.ndarray:
     dim = 1 << n
     k = np.arange(1 << (n - 1))
@@ -155,20 +121,22 @@ def _dense_from_weights(n: int, lambda_plus: np.ndarray, lambda_minus: np.ndarra
     return m
 
 
-def to_dense(state: GhzDiagonalState) -> DenseOperator:
+def to_dense(state: GhzDiagonalState) -> np.ndarray:
     """Dense matrix of the state: nonzero only on diagonal and anti-diagonal.
 
     Built on the first call and kept on the state, so every later call
-    returns the same operator.  Its matrix is read-only: it is shared by
-    every caller, and the state it depicts never changes.
+    returns the same array.  It is read-only: it is shared by every caller,
+    and the state it depicts never changes.  Each anti-diagonal value is
+    written to (k, kc) and (kc, k) from one array, so the matrix is exactly
+    symmetric.
     """
     dense = state._dense
     if dense is None:
         if state.n > MAX_DENSE_QUBITS:
             raise ValueError(f"dense path capped at {MAX_DENSE_QUBITS} qubits, got n={state.n}")
-        m = _dense_from_weights(state.n, state.lambda_plus, state.lambda_minus)
-        m.flags.writeable = False
-        dense = state._dense = DenseOperator(m, state.n)
+        dense = _dense_from_weights(state.n, state.lambda_plus, state.lambda_minus)
+        dense.flags.writeable = False
+        state._dense = dense
     return dense
 
 

@@ -80,19 +80,10 @@ class Bipartition:
 
     def split_string(self) -> str:
         """Human-readable split such as ``1|234`` (commas past 9 qubits)."""
-        return split_string(self.alpha1.bit_string())
+        return split_strings([self.alpha1.bits], self.n)[0]
 
     def __repr__(self) -> str:
         return f"Bipartition({self.split_string()!r})"
-
-
-def split_string(alpha1: str) -> str:
-    """The split ``1|234`` of the ``alpha1`` bit string ``1000``; commas past 9 qubits."""
-    sides = {"1": [], "0": []}
-    for m, bit in enumerate(alpha1, 1):
-        sides[bit].append(str(m))
-    sep = "" if len(alpha1) <= 9 else ","
-    return f"{sep.join(sides['1'])}|{sep.join(sides['0'])}"
 
 
 def enumerate_bipartitions(n: int) -> list[Bipartition]:
@@ -103,20 +94,57 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
     return [Bipartition(SubsetMask(top | k, n)) for k in range(top - 1)]
 
 
+def _digits(masks, n: int) -> np.ndarray:
+    """The last n bits of every mask in an int array, most significant first.
+
+    Each mask is unpacked as four big-endian bytes; the result is a
+    (len(masks), n) uint8 array of 0s and 1s, one row per mask.
+    """
+    bits = np.unpackbits(np.asarray(masks, dtype=">u4").view(np.uint8).reshape(-1, 4), axis=1)
+    return bits[:, 32 - n :]
+
+
 def bit_strings(masks, n: int) -> list[str]:
     """``SubsetMask(m, n).bit_string()`` of every mask in an int array, in order.
 
-    Each mask is unpacked as four big-endian bytes, so its last n bits come
-    out most significant first.  They go into one ASCII buffer as rows of n
-    digits and a space, which is decoded once and split at the spaces.
+    The digits go into one ASCII buffer as rows of n digits and a space,
+    which is decoded once and split at the spaces.
     """
-    bits = np.unpackbits(np.asarray(masks, dtype=">u4").view(np.uint8).reshape(-1, 4), axis=1)
-    text = np.full((bits.shape[0], n + 1), ord(" "), dtype=np.uint8)
-    np.bitwise_or(bits[:, 32 - n :], ord("0"), out=text[:, :n])
+    digits = _digits(masks, n)
+    text = np.full((digits.shape[0], n + 1), ord(" "), dtype=np.uint8)
+    np.bitwise_or(digits, ord("0"), out=text[:, :n])
     return text.tobytes().decode("ascii").split()
+
+
+def split_strings(masks, n: int) -> list[str]:
+    """The split ``1|234`` of every ``alpha1`` mask in an int array; commas past 9 qubits.
+
+    A row is a space, a cell per qubit for the mask's side, ``|``, and a
+    cell per qubit for the other side.  A qubit's cell holds its label,
+    after a comma past 9 qubits, on its own side and NULs on the other.
+    The NULs are dropped from the whole buffer, which is decoded once; then
+    the comma after each space or ``|`` goes, and the text is split at
+    the spaces.
+    """
+    digits = _digits(masks, n)[:, :, None]
+    sep = "," if n > 9 else ""
+    labels = np.array([sep + str(m) for m in range(1, n + 1)], dtype=f"S{len(sep) + len(str(n))}")
+    cells = labels.view(np.uint8).reshape(n, -1)
+    text = np.zeros((len(digits), 2, cells.size + 1), dtype=np.uint8)
+    text[:, :, 0] = (ord(" "), ord("|"))
+    text[:, 0, 1:] = (cells * digits).reshape(len(digits), -1)
+    text[:, 1, 1:] = (cells * (digits ^ 1)).reshape(len(digits), -1)
+    text = text[text != 0].tobytes().decode("ascii")
+    return text.replace(" ,", " ").replace("|,", "|").split()
 
 
 def bipartition_bit_strings(n: int) -> list[str]:
     """The ``alpha1`` bit strings of ``enumerate_bipartitions(n)``, in its order."""
     top = 1 << (n - 1)
     return bit_strings(np.arange(top, 2 * top - 1), n)
+
+
+def bipartition_split_strings(n: int) -> list[str]:
+    """The ``1|234`` splits of ``enumerate_bipartitions(n)``, in its order."""
+    top = 1 << (n - 1)
+    return split_strings(np.arange(top, 2 * top - 1), n)

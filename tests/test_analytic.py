@@ -129,7 +129,7 @@ def test_eta_pair_is_partner_quadratic_form():
     for _ in range(25):
         n = int(rng.integers(2, 6))
         s = random_state(n, int(rng.integers(0, 10_000)))
-        rho = to_dense(s).matrix
+        rho = to_dense(s)
         parts = enumerate_bipartitions(n)
         p = parts[int(rng.integers(0, len(parts)))]
         beta = SubsetMask(int(rng.integers(0, 1 << (n - 1))), n)
@@ -682,7 +682,7 @@ def test_witness_is_a_ghz_vector_of_the_partial_transpose(state):
         k = int(j) ^ p.alpha2.bits
         beta, sign = ((k, +1), (j, -1), (j, +1), (k, -1))[code]
         g = ghz_vector(SubsetMask(int(beta), n), sign).to_dense()
-        pt = partial_transpose(to_dense(state), p.alpha1).matrix
+        pt = partial_transpose(to_dense(state), p.alpha1)
         assert abs(g @ pt @ g - value / 2) <= 1e-14
 
 

@@ -111,13 +111,43 @@ def test_rejected_document_on_stdin_exits_two(capsys, monkeypatch, text, message
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_cli_import_leaves_statistics_unloaded():
     # statistics pulls in fractions and decimal; only bench uses it.
     code = "import sys, ghzent.cli; print(sorted({'statistics', 'decimal'} & set(sys.modules)))"
-    paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True
+    )
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+@pytest.mark.parametrize("command", ["classify", "threshold", "basis"])
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, command):
+    # Each output is well over a 64 KiB pipe buffer, so the CLI is still
+    # writing when the reader closes its end.
+    if command == "basis":
+        argv = ["basis", "--n", "12", "--format", "json"]
+    else:
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state_to_json_dict(random_state(12, 1))))
+        argv = [command, "--input", str(path), "--format", "json"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ghzent.cli", *argv],
+        env=_src_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.read(10)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 141, err
+    assert "Traceback" not in err and "Exception" not in err, err
 
 
 def test_random_single_state_is_loadable_and_deterministic(capsys):

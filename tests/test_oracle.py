@@ -18,7 +18,6 @@ from ghzent.oracle import (
     partial_transpose,
 )
 from ghzent.state import (
-    DenseOperator,
     GhzDiagonalState,
     random_state,
     to_dense,
@@ -29,17 +28,17 @@ from test_analytic import ghz_at, sparse_states
 
 def random_symmetric(rng, n):
     a = rng.normal(size=(1 << n, 1 << n))
-    return DenseOperator.from_matrix((a + a.T) / 2)
+    return (a + a.T) / 2
 
 
 def test_partial_transpose_empty_and_full_masks():
     rng = np.random.default_rng(3)
     rho = random_symmetric(rng, 3)
     identity = partial_transpose(rho, SubsetMask(0, 3))
-    assert np.array_equal(identity.matrix, rho.matrix)
+    assert np.array_equal(identity, rho)
     # transposing every qubit is a plain transpose, a no-op on symmetric input
     full = partial_transpose(rho, SubsetMask(7, 3))
-    assert np.array_equal(full.matrix, rho.matrix)
+    assert np.array_equal(full, rho)
 
 
 def test_partial_transpose_is_involution():
@@ -49,7 +48,7 @@ def test_partial_transpose_is_involution():
         rho = random_symmetric(rng, n)
         alpha = SubsetMask(int(rng.integers(0, 1 << n)), n)
         twice = partial_transpose(partial_transpose(rho, alpha), alpha)
-        assert np.array_equal(twice.matrix, rho.matrix)
+        assert np.array_equal(twice, rho)
 
 
 def test_partial_transpose_composes_over_disjoint_masks():
@@ -64,7 +63,7 @@ def test_partial_transpose_composes_over_disjoint_masks():
         ab = SubsetMask(bits_a | bits_b, n)
         left = partial_transpose(partial_transpose(rho, a), b)
         right = partial_transpose(rho, ab)
-        assert np.array_equal(left.matrix, right.matrix)
+        assert np.array_equal(left, right)
 
 
 def test_partial_transpose_preserves_trace_and_symmetry():
@@ -72,8 +71,8 @@ def test_partial_transpose_preserves_trace_and_symmetry():
     rho = random_symmetric(rng, 4)
     alpha = SubsetMask(0b1010, 4)  # qubits 1 and 3
     pt = partial_transpose(rho, alpha)
-    assert np.trace(pt.matrix) == pytest.approx(np.trace(rho.matrix), abs=1e-12)
-    assert np.array_equal(pt.matrix, pt.matrix.T)
+    assert np.trace(pt) == pytest.approx(np.trace(rho), abs=1e-12)
+    assert np.array_equal(pt, pt.T)
 
 
 def test_partial_transpose_on_complement_gives_same_spectrum():
@@ -93,7 +92,7 @@ def test_eigenvalues_match_library_solver():
         n = int(rng.integers(1, 6))
         rho = random_symmetric(rng, n)
         result = eigenvalues_symmetric(rho)
-        expected = np.linalg.eigvalsh(rho.matrix)
+        expected = np.linalg.eigvalsh(rho)
         assert np.allclose(result.eigenvalues, expected, atol=1e-10)
         assert np.all(np.diff(result.eigenvalues) >= 0)
         assert result.residual < 1e-10
@@ -108,13 +107,36 @@ def test_eigenvalues_validation():
     asym[0, 1] = 1.0
     with pytest.raises(ValueError, match="symmetric"):
         eigenvalues_symmetric(asym)
+    with pytest.raises(ValueError, match=r"symmetric, worst element \(0,1\)"):
+        eigenvalues_symmetric(asym.tolist())  # any array-like is read as float64
     with pytest.raises(ValueError, match="1..10 qubits, got 11"):
         eigenvalues_symmetric(np.zeros((2048, 2048)))  # above the dense cap
-    # an operator checked when it was built is checked again: its matrix is writable
-    rho = DenseOperator.from_matrix(np.eye(4))
-    rho.matrix[0, 1] = 1.0
-    with pytest.raises(ValueError, match="symmetric"):
-        eigenvalues_symmetric(rho)
+    with pytest.raises(ValueError, match="1..10 qubits, got 0"):
+        eigenvalues_symmetric(np.eye(1))
+    with pytest.raises(ValueError, match="power of two"):
+        eigenvalues_symmetric(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues_symmetric(np.zeros(4))
+
+
+def test_partial_transpose_validation():
+    with pytest.raises(ValueError, match="mixed qubit counts 2 and 3"):
+        partial_transpose(np.eye(8), SubsetMask(1, 2))
+    with pytest.raises(ValueError, match="square"):
+        partial_transpose(np.zeros((4, 2)), SubsetMask(1, 2))
+    with pytest.raises(ValueError, match="square"):
+        partial_transpose(np.zeros(16), SubsetMask(1, 2))
+    with pytest.raises(ValueError, match="power of two"):
+        partial_transpose(np.eye(3), SubsetMask(1, 2))
+
+
+def test_partial_transpose_reads_a_read_only_input():
+    rho = random_symmetric(np.random.default_rng(9), 3)
+    before = rho.copy()
+    rho.flags.writeable = False
+    pt = partial_transpose(rho, SubsetMask(0b101, 3))
+    assert np.array_equal(rho, before)
+    assert pt.flags.writeable and pt.flags.c_contiguous
 
 
 def test_spectrum_result_read_only():
@@ -166,12 +188,12 @@ def test_spectrum_matches_block_coefficients():
 
 def partial_transpose_by_bits(rho, alpha):
     """Reference: swap the alpha bits of the row and column index of every element."""
-    dim = rho.dim
+    dim = len(rho)
     m = alpha.bits
     keep = (dim - 1) ^ m
     r = np.arange(dim)[:, None]
     c = np.arange(dim)[None, :]
-    return rho.matrix[(r & keep) | (c & m), (c & keep) | (r & m)]
+    return rho[(r & keep) | (c & m), (c & keep) | (r & m)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -181,8 +203,8 @@ def test_partial_transpose_equals_bit_formula_for_every_mask(n):
     for bits in range(1 << n):
         alpha = SubsetMask(bits, n)
         pt = partial_transpose(rho, alpha)
-        assert np.array_equal(pt.matrix, partial_transpose_by_bits(rho, alpha))
-        assert not np.shares_memory(pt.matrix, rho.matrix)  # fresh, even for the empty mask
+        assert np.array_equal(pt, partial_transpose_by_bits(rho, alpha))
+        assert not np.shares_memory(pt, rho)  # fresh, even for the empty mask
 
 
 CUSTOM_TOLERANCES = (
@@ -228,6 +250,17 @@ def test_is_ppt_dense_returns_the_eigenvalue_rule_on_a_corpus(n):
     for state in verdict_corpus(n):
         for partition in partitions:
             assert_eigenvalue_rule(state, partition)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_partial_transpose_of_a_state_is_exactly_symmetric_on_every_cut(n):
+    # is_ppt_dense hands this matrix to Cholesky, which reads one triangle
+    for state in verdict_corpus(n):
+        rho = to_dense(state)
+        assert np.array_equal(rho, rho.T)
+        for p in enumerate_bipartitions(n):
+            pt = partial_transpose(rho, p.alpha1)
+            assert np.array_equal(pt, pt.T)
 
 
 @settings(max_examples=150, deadline=None)
@@ -300,9 +333,9 @@ def test_dense_matrix_is_built_once_per_state(monkeypatch):
     rho = to_dense(state)
     assert rho is to_dense(state)
     with pytest.raises(ValueError):
-        rho.matrix[0, 0] = 1.0
+        rho[0, 0] = 1.0
     # the in-place shift of every Cholesky test landed on a copy
-    assert np.array_equal(rho.matrix, build(7, state.lambda_plus, state.lambda_minus))
+    assert np.array_equal(rho, build(7, state.lambda_plus, state.lambda_minus))
 
     noisy = mix_with_white_noise(state, 0.3)
     assert to_dense(noisy) is not rho

@@ -12,7 +12,6 @@ PUBLIC_NAMES = {
     "Bipartition",
     "enumerate_bipartitions",
     "GhzDiagonalState",
-    "DenseOperator",
     "to_dense",
     "random_state",
     "state_to_json_dict",
@@ -36,7 +35,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(ghzent.__all__) == len(PUBLIC_NAMES) == 25
+    assert len(ghzent.__all__) == len(PUBLIC_NAMES) == 24
     assert set(ghzent.__all__) == PUBLIC_NAMES
     for name in ghzent.__all__:
         assert hasattr(ghzent, name), name

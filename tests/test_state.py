@@ -16,7 +16,6 @@ from ghz_reference import (
 )
 from ghzent.cli import main
 from ghzent.state import (
-    DenseOperator,
     GhzDiagonalState,
     load_state,
     random_state,
@@ -27,13 +26,12 @@ from ghzent.state import (
 from ghzent.subsets import SubsetMask
 
 
-def extract_lambda(rho: DenseOperator, beta: SubsetMask, sign: int) -> float:
-    """Quadratic form of the operator on a GHZ basis vector.
+def extract_lambda(m: np.ndarray, beta: SubsetMask, sign: int) -> float:
+    """Quadratic form of the matrix on a GHZ basis vector.
 
     For GHZ-diagonal inputs this recovers the stored weight of the class.
     """
     (i, a), (j, b) = ghz_vector(beta, sign).entries
-    m = rho.matrix
     return float(a * a * m[i, i] + b * b * m[j, j] + 2.0 * a * b * m[i, j])
 
 
@@ -77,9 +75,8 @@ def test_weights_are_read_only():
 
 def test_dense_matrix_structure():
     s = random_state(3, 2)
-    rho = to_dense(s)
-    m = rho.matrix
-    assert rho.n == 3
+    m = to_dense(s)
+    assert m.shape == (8, 8) and m.dtype == np.float64
     assert abs(np.trace(m) - 1.0) < 1e-12
     assert np.array_equal(m, m.T)
     # only the main and anti diagonal are populated
@@ -100,7 +97,7 @@ def test_dense_equals_projector_sum():
         for beta in enumerate_canonical_betas(3):
             acc += weight(s, beta, +1) * ghz_vector(beta, +1).outer()
             acc += weight(s, beta, -1) * ghz_vector(beta, -1).outer()
-        assert np.max(np.abs(acc - to_dense(s).matrix)) < 1e-15
+        assert np.max(np.abs(acc - to_dense(s))) < 1e-15
 
 
 def test_extract_lambda_round_trip():
@@ -292,19 +289,6 @@ def test_json_output_is_valid_json():
     s = random_state(3, 3)
     doc = json.loads(json.dumps(state_to_json_dict(s), indent=2))
     assert set(doc) == {"n", "convention", "weights"}
-
-
-def test_dense_operator_validation():
-    with pytest.raises(ValueError):
-        DenseOperator.from_matrix(np.zeros((3, 3)))  # not a power of two
-    asym = np.zeros((4, 4))
-    asym[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        DenseOperator.from_matrix(asym)
-    with pytest.raises(ValueError):
-        DenseOperator.from_matrix(np.zeros((2048, 2048)))  # above the dense cap
-    with pytest.raises(ValueError, match=r"matrix shape \(3, 3\) does not match n=2"):
-        DenseOperator(np.zeros((3, 3)), 2)
 
 
 def test_state_equality_and_repr():

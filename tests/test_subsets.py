@@ -14,9 +14,10 @@ from ghzent.subsets import (
     Bipartition,
     SubsetMask,
     bipartition_bit_strings,
+    bipartition_split_strings,
     bit_strings,
     enumerate_bipartitions,
-    split_string,
+    split_strings,
 )
 
 
@@ -159,11 +160,24 @@ def test_split_string():
     assert s == "1,10|2,3,4,5,6,7,8,9"
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 17))
 def test_split_string_matches_per_qubit_reference(n):
-    expected = [reference_split_string(p) for p in enumerate_bipartitions(n)]
-    assert list(map(split_string, bipartition_bit_strings(n))) == expected
-    assert [p.split_string() for p in enumerate_bipartitions(n)] == expected
+    partitions = enumerate_bipartitions(n)
+    expected = [reference_split_string(p) for p in partitions]
+    assert bipartition_split_strings(n) == expected
+    # the method splits one mask per call: a few hundred cuts are enough
+    step = max(1, len(partitions) // 256)
+    assert [p.split_string() for p in partitions[::step]] == expected[::step]
+
+
+@pytest.mark.parametrize("n", range(17, MAX_QUBITS + 1))
+def test_split_strings_past_16_qubits(n):
+    # the top bit, the top bit and the last qubit, all but the last, and 64 seeded masks
+    top = 1 << (n - 1)
+    masks = [top, top | 1, (1 << n) - 2]
+    masks += (top | np.random.default_rng(n).integers(0, top - 1, size=64)).tolist()
+    expected = [reference_split_string(Bipartition(SubsetMask(m, n))) for m in masks]
+    assert split_strings(np.array(masks), n) == expected
 
 
 def test_enumerate_bipartitions():
