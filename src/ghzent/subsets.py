@@ -15,6 +15,9 @@ import numpy as np
 
 MAX_QUBITS = 24
 
+# masks per block in split_strings: 2^16 rows of at most 2 * 3 * 24 + 2 bytes
+_SPLIT_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SubsetMask:
@@ -122,20 +125,25 @@ def split_strings(masks, n: int) -> list[str]:
     A row is a space, a cell per qubit for the mask's side, ``|``, and a
     cell per qubit for the other side.  A qubit's cell holds its label,
     after a comma past 9 qubits, on its own side and NULs on the other.
-    The NULs are dropped from the whole buffer, which is decoded once; then
-    the comma after each space or ``|`` goes, and the text is split at
-    the spaces.
+    The NULs are dropped from the buffer, which is decoded once; then the
+    comma after each space or ``|`` goes, and the text is split at the
+    spaces.  Masks go through in blocks of ``_SPLIT_BLOCK``, so the
+    buffers stay a few tens of MB even for all 2^23 cuts of 24 qubits.
     """
-    digits = _digits(masks, n)[:, :, None]
+    masks = np.asarray(masks)
     sep = "," if n > 9 else ""
     labels = np.array([sep + str(m) for m in range(1, n + 1)], dtype=f"S{len(sep) + len(str(n))}")
     cells = labels.view(np.uint8).reshape(n, -1)
-    text = np.zeros((len(digits), 2, cells.size + 1), dtype=np.uint8)
-    text[:, :, 0] = (ord(" "), ord("|"))
-    text[:, 0, 1:] = (cells * digits).reshape(len(digits), -1)
-    text[:, 1, 1:] = (cells * (digits ^ 1)).reshape(len(digits), -1)
-    text = text[text != 0].tobytes().decode("ascii")
-    return text.replace(" ,", " ").replace("|,", "|").split()
+    out: list[str] = []
+    for start in range(0, len(masks), _SPLIT_BLOCK):
+        digits = _digits(masks[start : start + _SPLIT_BLOCK], n)[:, :, None]
+        text = np.zeros((len(digits), 2, cells.size + 1), dtype=np.uint8)
+        text[:, :, 0] = (ord(" "), ord("|"))
+        text[:, 0, 1:] = (cells * digits).reshape(len(digits), -1)
+        text[:, 1, 1:] = (cells * (digits ^ 1)).reshape(len(digits), -1)
+        text = text[text != 0].tobytes().decode("ascii")
+        out += text.replace(" ,", " ").replace("|,", "|").split()
+    return out
 
 
 def bipartition_bit_strings(n: int) -> list[str]:

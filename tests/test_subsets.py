@@ -9,6 +9,7 @@ from ghz_reference import (
     reference_split_string,
     xor,
 )
+from ghzent import subsets
 from ghzent.subsets import (
     MAX_QUBITS,
     Bipartition,
@@ -165,9 +166,17 @@ def test_split_string_matches_per_qubit_reference(n):
     partitions = enumerate_bipartitions(n)
     expected = [reference_split_string(p) for p in partitions]
     assert bipartition_split_strings(n) == expected
-    # the method splits one mask per call: a few hundred cuts are enough
-    step = max(1, len(partitions) // 256)
+    # every cut up to 12 qubits; past that the one-mask-per-call method is sampled
+    step = 1 if n <= 12 else len(partitions) // 256
     assert [p.split_string() for p in partitions[::step]] == expected[::step]
+
+
+def test_split_strings_across_blocks(monkeypatch):
+    # blocks of 5 masks: 127 cuts at n = 8 end in a partial block
+    monkeypatch.setattr(subsets, "_SPLIT_BLOCK", 5)
+    expected = [reference_split_string(p) for p in enumerate_bipartitions(8)]
+    assert bipartition_split_strings(8) == expected
+    assert split_strings([], 8) == []
 
 
 @pytest.mark.parametrize("n", range(17, MAX_QUBITS + 1))
