@@ -27,14 +27,12 @@ from .state import (
     random_state,
     state_from_json_dict,
     state_to_json_dict,
-    to_dense,
 )
 from .analytic import (
     ClassificationReport,
     CoefficientWitness,
     PartitionVerdict,
     classify,
-    coefficient_arrays,
     full_entanglement_threshold,
     is_ppt,
     noise_threshold,
@@ -45,6 +43,7 @@ from .oracle import (
     eigenvalues_symmetric,
     is_ppt_dense,
     partial_transpose,
+    to_dense,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +62,6 @@ __all__ = [
     "CoefficientWitness",
     "PartitionVerdict",
     "ClassificationReport",
-    "coefficient_arrays",
     "is_ppt",
     "classify",
     "noise_threshold",

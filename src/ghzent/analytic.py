@@ -109,25 +109,14 @@ class ClassificationReport:
 
 
 def _check_tol(tol: float) -> None:
-    """Reject a tolerance that would make every verdict meaningless."""
-    if not (math.isfinite(tol) and tol >= 0.0):
+    """Reject a tolerance that would make every verdict meaningless, or a bool."""
+    if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def _check_compatible(state: GhzDiagonalState, partition: Bipartition) -> None:
     if partition.n != state.n:
         raise ValueError(f"mixed qubit counts {partition.n} and {state.n}")
-
-
-def coefficient_arrays(
-    state: GhzDiagonalState, partition: Bipartition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(B, C, D, E) of every canonical class across one cut, for ``oracle-check --n 2``."""
-    _check_compatible(state, partition)
-    lp = state.lambda_plus
-    lm = state.lambda_minus
-    idx = np.arange(lp.size) ^ partition.alpha2.bits
-    return _coefficients_from_weights(lp, lm, lp[idx], lm[idx])
 
 
 def _coefficients_from_weights(lp, lm, ep, em):
@@ -351,7 +340,6 @@ __all__ = [
     "COEFFICIENT_TOL",
     "PartitionVerdict",
     "classify",
-    "coefficient_arrays",
     "full_entanglement_threshold",
     "is_ppt",
     "noise_threshold",

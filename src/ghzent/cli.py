@@ -29,26 +29,19 @@ from .analytic import (  # noqa: F401
     COEFFICIENT_NAMES,
     COEFFICIENT_TOL,
     classify,
-    coefficient_arrays,
     full_entanglement_threshold,
     noise_threshold,
     partition_thresholds,
 )
-from .oracle import (
-    eigenvalues_symmetric,
-    is_ppt_dense,
-    partial_transpose,
-)
+from .oracle import eigenvalues_symmetric, is_ppt_dense, partial_transpose, to_dense
 from .state import (
     GhzDiagonalState,
     _check_qubit_count,
     load_state,
     random_state,
     state_to_json_dict,
-    to_dense,
 )
 from .subsets import (
-    Bipartition,
     bipartition_bit_strings,
     bipartition_split_strings,
     bit_strings,
@@ -161,22 +154,6 @@ def cmd_classify(args) -> int:
     return EXIT_FULL_ENTANGLED if report.full_entangled else EXIT_NOT_FULL_ENTANGLED
 
 
-def pt_spectrum_vs_coefficients(state: GhzDiagonalState, partition: Bipartition, dense) -> float:
-    """Max deviation of the halved coefficients from ``dense``, the ascending PT spectrum.
-
-    The four block coefficients of one representative per complementary
-    class pair, divided by two, form the complete partial-transpose
-    spectrum; this returns the worst mismatch after sorting them.
-    It lives here, not in the oracle, because it reads the analytic
-    coefficients, and the oracle must not.
-    """
-    b, c, d, e = coefficient_arrays(state, partition)
-    k = np.arange(b.size)
-    rep = k < (k ^ partition.alpha2.bits)
-    analytic = np.sort(np.concatenate([b[rep], c[rep], d[rep], e[rep]]) / 2.0)
-    return float(np.max(np.abs(analytic - dense)))
-
-
 def cmd_oracle_check(args) -> int:
     n = args.n
     if not 2 <= n <= _ORACLE_CHECK_MAX_QUBITS:
@@ -185,12 +162,12 @@ def cmd_oracle_check(args) -> int:
     mismatches = 0
     worst_margin = float("inf")
     max_residual = 0.0
-    spectrum_deviation = 0.0
+    value_deviation = 0.0
     for i in range(args.count):
         state = random_state(n, args.seed + i)
         dense = to_dense(state)
-        analytic_verdicts = classify(state, tol=args.tol).ppt.tolist()
-        for partition, analytic_verdict in zip(partitions, analytic_verdicts):
+        ppt, _, _, values = classify(state, tol=args.tol).columns()
+        for partition, analytic_verdict, value in zip(partitions, ppt, values):
             spectrum = eigenvalues_symmetric(partial_transpose(dense, partition.alpha1))
             low = float(spectrum.eigenvalues[0])
             # partial-transpose eigenvalues are half the block coefficients
@@ -199,9 +176,7 @@ def cmd_oracle_check(args) -> int:
                 mismatches += 1
             worst_margin = min(worst_margin, abs(low))
             max_residual = max(max_residual, spectrum.residual)
-            if n == 2:
-                deviation = pt_spectrum_vs_coefficients(state, partition, spectrum.eigenvalues)
-                spectrum_deviation = max(spectrum_deviation, deviation)
+            value_deviation = max(value_deviation, abs(low - value / 2))
     summary = {
         "n": n,
         "count": args.count,
@@ -210,19 +185,16 @@ def cmd_oracle_check(args) -> int:
         "mismatches": mismatches,
         "worst_boundary_margin": worst_margin,
         "max_residual": max_residual,
+        "value_deviation": value_deviation,
     }
-    if n == 2:
-        summary["spectrum_deviation"] = spectrum_deviation
     if args.format == "json":
         _print_json(summary)
     else:
         print(
             f"n={n} states={args.count} partitions={len(partitions)} "
             f"mismatches={mismatches} worst_boundary_margin={worst_margin:.3e} "
-            f"max_residual={max_residual:.3e}"
+            f"max_residual={max_residual:.3e} value_deviation={value_deviation:.3e}"
         )
-        if n == 2:
-            print(f"two-qubit spectrum deviation = {spectrum_deviation:.3e}")
     return 0 if mismatches == 0 else 1
 
 
@@ -314,9 +286,9 @@ def _bench_dephased(n: int, seed: int) -> GhzDiagonalState:
     return GhzDiagonalState(n, half, half)
 
 
-def _bench_quantised(n: int, seed: int) -> GhzDiagonalState:
-    """Weights drawn from {0, 1, 2, 3}, normalised: ties in both s and |d|."""
-    weights = np.random.default_rng(seed).integers(0, 4, size=(2, 1 << (n - 1)))
+def _bench_quantised(n: int, seed: int, levels: int = 4) -> GhzDiagonalState:
+    """Weights drawn from {0, ..., levels - 1}, normalised: ties in both s and |d|."""
+    weights = np.random.default_rng(seed).integers(0, levels, size=(2, 1 << (n - 1)))
     weights = weights / weights.sum()
     return GhzDiagonalState(n, weights[0], weights[1])
 
@@ -327,6 +299,8 @@ def cmd_bench(args) -> int:
     cases += [("analytic_classify_flat", n, GhzDiagonalState.maximally_mixed(n)) for n in (12, 14, 16)]
     cases += [("analytic_classify_dephased", n, _bench_dephased(n, args.seed)) for n in (12, 14, 16)]
     cases.append(("analytic_classify_quantised", 12, _bench_quantised(12, args.seed)))
+    # two levels: the tied cuts the tie rule settles (_settle_ties in analytic.py)
+    cases.append(("analytic_classify_two_level", 14, _bench_quantised(14, args.seed, 2)))
     for path, n, state in cases:
         # A fresh copy each time: a state keeps its scan after the first.
         copy = functools.partial(GhzDiagonalState, n, state.lambda_plus, state.lambda_minus)

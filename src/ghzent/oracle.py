@@ -1,9 +1,10 @@
-"""Brute-force ground truth for the analytic classifier.
+"""Brute-force ground truth for the analytic classifier: the whole dense route.
 
-Partial transposition swaps tensor axes of the full matrix, and positivity
-is decided by a dense Cholesky factorization, or read off a dense
-real-symmetric eigensolver where a caller needs the spectrum.  Nothing
-here exploits GHZ structure; that is the point of an oracle.
+:func:`to_dense` writes the density matrix from the definition of the GHZ
+projectors.  Nothing after it uses a GHZ identity: partial transposition
+swaps tensor axes of the full matrix, and positivity is decided by a dense
+Cholesky factorization, or read off a dense real-symmetric eigensolver
+where a caller needs the spectrum.  That is the point of an oracle.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import MAX_DENSE_QUBITS, GhzDiagonalState, to_dense
+from .state import GhzDiagonalState
 from .subsets import Bipartition, SubsetMask
+
+MAX_DENSE_QUBITS = 10
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,43 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     residual: float
+
+
+def _check_dense_qubits(n: int) -> None:
+    if not 1 <= n <= MAX_DENSE_QUBITS:
+        raise ValueError(f"dense path supports 1..{MAX_DENSE_QUBITS} qubits, got {n}")
+
+
+def to_dense(state: GhzDiagonalState) -> np.ndarray:
+    """Dense matrix of the state: the weighted sum of its GHZ projectors.
+
+    Class k's vectors (|k> +- |kc>)/sqrt(2), kc the complement of k, put
+    (plus + minus)/2 on (k, k) and (kc, kc) and (plus - minus)/2 on (k, kc)
+    and (kc, k), each from one array, so the matrix is exactly symmetric.
+    Built on the first call and kept on the state: every later call returns
+    the same read-only array, shared by every caller.
+    """
+    dense = state._dense
+    if dense is None:
+        _check_dense_qubits(state.n)
+        dense = _dense_from_weights(state.n, state.lambda_plus, state.lambda_minus)
+        dense.flags.writeable = False
+        state._dense = dense
+    return dense
+
+
+def _dense_from_weights(n: int, lambda_plus: np.ndarray, lambda_minus: np.ndarray) -> np.ndarray:
+    dim = 1 << n
+    k = np.arange(1 << (n - 1))
+    kc = k ^ (dim - 1)
+    diag = (lambda_plus + lambda_minus) / 2.0
+    anti = (lambda_plus - lambda_minus) / 2.0
+    m = np.zeros((dim, dim))
+    m[k, k] = diag
+    m[kc, kc] = diag
+    m[k, kc] = anti
+    m[kc, k] = anti
+    return m
 
 
 def _qubit_count(matrix: np.ndarray) -> int:
@@ -88,9 +128,7 @@ def eigenvalues_symmetric(matrix) -> SpectrumResult:
     at most ``MAX_DENSE_QUBITS`` qubits, and exactly symmetric.
     """
     mat = np.asarray(matrix, dtype=float)
-    n = _qubit_count(mat)
-    if not 1 <= n <= MAX_DENSE_QUBITS:
-        raise ValueError(f"dense path supports 1..{MAX_DENSE_QUBITS} qubits, got {n}")
+    _check_dense_qubits(_qubit_count(mat))
     if not np.array_equal(mat, mat.T):
         i, j = np.unravel_index(int(np.argmax(np.abs(mat - mat.T))), mat.shape)
         raise ValueError(f"matrix not exactly symmetric, worst element ({i},{j})")

@@ -1,4 +1,4 @@
-"""GHZ-diagonal states and their dense-matrix counterparts.
+"""GHZ-diagonal states and their JSON form.
 
 A GHZ-diagonal state is a mixture of GHZ projectors.  It is stored as one
 (plus, minus) weight pair per canonical subset class, normalized so the
@@ -13,16 +13,18 @@ from itertools import chain
 
 import numpy as np
 
-from .subsets import MAX_QUBITS, bit_strings
+from .subsets import MAX_QUBITS, _as_int, bit_strings
 
 NORMALIZATION_TOL = 1e-10
 WEIGHT_CLAMP = 1e-12
-MAX_DENSE_QUBITS = 10
 
 
-def _check_qubit_count(n: int) -> None:
+def _check_qubit_count(n) -> int:
+    """``n`` as a Python int; ValueError unless it is an integer in 2..MAX_QUBITS."""
+    n = _as_int(n, "qubit count")
     if not 2 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in 2..{MAX_QUBITS}, got {n}")
+    return n
 
 
 def _clean_weights(values, n: int, name: str) -> np.ndarray:
@@ -47,14 +49,14 @@ class GhzDiagonalState:
 
     ``lambda_plus[k]`` and ``lambda_minus[k]`` weight the +/- vectors of the
     canonical class whose basis index is ``k``.  Instances are immutable, so
-    the dense matrix of :func:`to_dense` and the read-only minima of
+    the dense matrix of ``oracle.to_dense`` and the read-only minima of
     ``analytic.partition_minima`` are kept here once built, for every caller.
     """
 
     __slots__ = ("_n", "_lambda_plus", "_lambda_minus", "_dense", "_minima")
 
     def __init__(self, n: int, lambda_plus, lambda_minus):
-        _check_qubit_count(n)
+        n = _check_qubit_count(n)
         lp = _clean_weights(lambda_plus, n, "lambda_plus")
         lm = _clean_weights(lambda_minus, n, "lambda_minus")
         with np.errstate(over="ignore"):  # an overflow to inf fails the check below
@@ -82,15 +84,15 @@ class GhzDiagonalState:
     @classmethod
     def pure_ghz(cls, n: int) -> "GhzDiagonalState":
         """The standard GHZ state: unit weight on the + empty class."""
-        k = 1 << (n - 1)
+        k = 1 << (_check_qubit_count(n) - 1)
         lp = np.zeros(k)
         lp[0] = 1.0
         return cls(n, lp, np.zeros(k))
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "GhzDiagonalState":
-        k = 1 << (n - 1)
-        w = np.full(k, 1.0 / (1 << n))
+        k = 1 << (_check_qubit_count(n) - 1)
+        w = np.full(k, 0.5 / k)  # 1 / 2^n
         return cls(n, w, w.copy())
 
     def __eq__(self, other) -> bool:
@@ -107,42 +109,9 @@ class GhzDiagonalState:
         return f"GhzDiagonalState(n={self._n}, nonzero_weights={nz})"
 
 
-def _dense_from_weights(n: int, lambda_plus: np.ndarray, lambda_minus: np.ndarray) -> np.ndarray:
-    dim = 1 << n
-    k = np.arange(1 << (n - 1))
-    kc = k ^ (dim - 1)
-    diag = (lambda_plus + lambda_minus) / 2.0
-    anti = (lambda_plus - lambda_minus) / 2.0
-    m = np.zeros((dim, dim))
-    m[k, k] = diag
-    m[kc, kc] = diag
-    m[k, kc] = anti
-    m[kc, k] = anti
-    return m
-
-
-def to_dense(state: GhzDiagonalState) -> np.ndarray:
-    """Dense matrix of the state: nonzero only on diagonal and anti-diagonal.
-
-    Built on the first call and kept on the state, so every later call
-    returns the same array.  It is read-only: it is shared by every caller,
-    and the state it depicts never changes.  Each anti-diagonal value is
-    written to (k, kc) and (kc, k) from one array, so the matrix is exactly
-    symmetric.
-    """
-    dense = state._dense
-    if dense is None:
-        if state.n > MAX_DENSE_QUBITS:
-            raise ValueError(f"dense path capped at {MAX_DENSE_QUBITS} qubits, got n={state.n}")
-        dense = _dense_from_weights(state.n, state.lambda_plus, state.lambda_minus)
-        dense.flags.writeable = False
-        state._dense = dense
-    return dense
-
-
 def random_state(n: int, seed: int) -> GhzDiagonalState:
     """Uniform draw from the weight simplex (flat Dirichlet), seeded."""
-    _check_qubit_count(n)
+    n = _check_qubit_count(n)
     rng = np.random.default_rng(seed)
     w = rng.exponential(size=(1 << (n - 1), 2))
     w /= w.sum()

@@ -19,6 +19,13 @@ MAX_QUBITS = 24
 _SPLIT_BLOCK = 1 << 16
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as a Python int: an int or a numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SubsetMask:
     """A subset of qubits 1..n packed into the low ``n`` bits of an int."""
@@ -27,6 +34,9 @@ class SubsetMask:
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.bits) is not int:  # stored as Python ints
+            object.__setattr__(self, "n", _as_int(self.n, "qubit count"))
+            object.__setattr__(self, "bits", _as_int(self.bits, "mask"))
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
         if not 0 <= self.bits < (1 << self.n):
@@ -91,6 +101,7 @@ class Bipartition:
 
 def enumerate_bipartitions(n: int) -> list[Bipartition]:
     """All 2^(n-1) - 1 distinct bipartitions, increasing by alpha1 mask."""
+    n = _as_int(n, "qubit count")
     if n < 2:
         raise ValueError(f"a bipartition needs at least 2 qubits, got n={n}")
     top = 1 << (n - 1)

@@ -2,7 +2,9 @@
 
 The GHZ basis as sparse two-amplitude vectors, the subset-mask and weight
 helpers that only the tests need, the white-noise mixing their noisy
-fixtures are built with, and a per-entry parser of the state's JSON form.
+fixtures are built with, each cut's block coefficients and the
+partial-transpose spectrum they give, and a per-entry parser of the
+state's JSON form.
 None of it is used by ``ghzent`` itself, so the checks built on it share
 no code with the paths they test; the mixing and the parser build their
 states with ``GhzDiagonalState``, as the library does.
@@ -84,6 +86,39 @@ def mix_with_white_noise(state: GhzDiagonalState, p: float) -> GhzDiagonalState:
         (1.0 - p) * state.lambda_plus + floor,
         (1.0 - p) * state.lambda_minus + floor,
     )
+
+
+# -- block coefficients ---------------------------------------------------------
+
+
+def coefficient_table(state, partition: Bipartition):
+    """(B, C, D, E) of every canonical class across one cut, as four arrays.
+
+    With class j's weights (lp, lm) and its partner k = j ^ alpha2's weights
+    (ep, em): B = lp - lm + ep + em, C = lp + lm - ep + em,
+    D = lp + lm + ep - em and E = -lp + lm + ep + em.  Halved, the four are
+    the partial-transpose eigenvalues on the block of classes j and k.
+    """
+    if partition.n != state.n:
+        raise ValueError(f"mixed qubit counts {partition.n} and {state.n}")
+    lp, lm = state.lambda_plus, state.lambda_minus
+    k = np.arange(lp.size) ^ partition.alpha2.bits
+    ep, em = lp[k], lm[k]
+    return (lp - lm + ep + em, lp + lm - ep + em, lp + lm + ep - em, -lp + lm + ep + em)
+
+
+def pt_spectrum_deviation(state, partition: Bipartition, spectrum) -> float:
+    """Largest gap between ``spectrum``, a cut's ascending partial-transpose
+    spectrum, and the sorted halved coefficients of one class of each block.
+
+    Classes j and j ^ alpha2 share a block, so the smaller of the two stands
+    for it; its four halved coefficients are the block's four eigenvalues.
+    """
+    b, c, d, e = coefficient_table(state, partition)
+    j = np.arange(b.size)
+    rep = j < (j ^ partition.alpha2.bits)
+    halved = np.sort(np.concatenate([b[rep], c[rep], d[rep], e[rep]]) / 2.0)
+    return float(np.max(np.abs(halved - spectrum)))
 
 
 # -- GHZ basis vectors ----------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ghz_reference import (
     canonical_beta,
+    coefficient_table,
     enumerate_canonical_betas,
     ghz_vector,
     mix_with_white_noise,
@@ -20,7 +21,6 @@ from ghz_reference import (
 from ghzent.analytic import (
     COEFFICIENT_NAMES,
     classify,
-    coefficient_arrays,
     full_entanglement_threshold,
     is_ppt,
     noise_threshold,
@@ -28,12 +28,8 @@ from ghzent.analytic import (
     partition_thresholds,
     _rank_prefix,
 )
-from ghzent.oracle import eigenvalues_symmetric, is_ppt_dense, partial_transpose
-from ghzent.state import (
-    GhzDiagonalState,
-    random_state,
-    to_dense,
-)
+from ghzent.oracle import eigenvalues_symmetric, is_ppt_dense, partial_transpose, to_dense
+from ghzent.state import GhzDiagonalState, random_state
 from ghzent.subsets import SubsetMask, enumerate_bipartitions
 
 
@@ -223,7 +219,7 @@ def test_vectorized_arrays_match_per_class_loop():
         n = int(rng.integers(2, 7))
         s = random_state(n, int(rng.integers(0, 10_000)))
         for p in enumerate_bipartitions(n):
-            b, c, d, e = coefficient_arrays(s, p)
+            b, c, d, e = coefficient_table(s, p)
             for k, beta in enumerate(enumerate_canonical_betas(n)):
                 co = block_coefficients(s, beta, p)
                 assert (b[k], c[k], d[k], e[k]) == co.as_tuple()
@@ -351,8 +347,8 @@ def test_mixed_qubit_counts_rejected():
     p4 = enumerate_bipartitions(4)[0]
     with pytest.raises(ValueError):
         eta_pair(s, SubsetMask(0, 3), p4)
-    with pytest.raises(ValueError):
-        coefficient_arrays(s, p4)
+    with pytest.raises(ValueError, match="mixed qubit counts 4 and 3"):
+        is_ppt(s, p4)
     with pytest.raises(ValueError):
         block_coefficients(s, SubsetMask(0, 4), enumerate_bipartitions(3)[0])
 
@@ -402,7 +398,7 @@ def reference_cut(state, p):
     Each value is an exact table entry, within a few ulps of the pair
     formula's.
     """
-    table = np.stack(coefficient_arrays(state, p), axis=1)
+    table = np.stack(coefficient_table(state, p), axis=1)
     k, which = divmod(int(np.argmin(table)), 4)
     return table[k, which], k, which, table
 

@@ -40,7 +40,7 @@ BENCH_ROWS = (
     [("analytic_classify", n) for n in range(8, 17)]
     + [("analytic_classify_flat", n) for n in (12, 14, 16)]
     + [("analytic_classify_dephased", n) for n in (12, 14, 16)]
-    + [("analytic_classify_quantised", 12)]
+    + [("analytic_classify_quantised", 12), ("analytic_classify_two_level", 14)]
     + [("dense_partition", n) for n in range(4, 9)]
 )
 
@@ -219,12 +219,13 @@ def test_oracle_check_agrees(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["mismatches"] == 0
-    assert doc["spectrum_deviation"] < 1e-12
+    assert 0.0 <= doc["value_deviation"] < 1e-12
     assert 0.0 <= doc["max_residual"] < 1e-12
     rc, out, _ = run(capsys, "oracle-check", "--n", "3", "--count", "2", "--seed", "4")
     assert rc == 0
     assert "mismatches=0 " in out
     assert float(out.split("max_residual=")[1].split()[0]) < 1e-12
+    assert float(out.split("value_deviation=")[1].split()[0]) < 1e-12
     rc, _, err = run(capsys, "oracle-check", "--n", "9", "--count", "1")
     assert rc == 2
 
@@ -236,7 +237,8 @@ def test_bench_emits_csv(capsys):
     assert lines[0] == BENCH_CSV_HEADER
     rows = [line.split(",") for line in lines[1:]]
     # random states at n = 8..16, the tied worst cases (flat, dephased), the
-    # quantised case the scan cannot prune, and the dense route
+    # quantised case the scan cannot prune, two-level weights whose tied cuts
+    # the tie rule settles, and the dense route
     assert [(r[0], int(r[1])) for r in rows] == BENCH_ROWS
     for path, n, partitions, ms in rows:
         expected = 1 if path == "dense_partition" else (1 << (int(n) - 1)) - 1
@@ -326,24 +328,26 @@ def test_negative_tol_in_exponent_form_needs_an_equals_sign(capsys):
 
 # oracle-check --count 3 --seed 7 as the per-cut is_ppt verdicts gave it:
 # the JSON summary (printed by json.dumps with indent 2) and the table.
+# value_deviation is the largest gap between a cut's smallest PT eigenvalue
+# and half its minimum coefficient.
 ORACLE_CHECK = {
     2: (
         {"partitions": 1, "mismatches": 0, "worst_boundary_margin": 0.05612656712521377,
-         "max_residual": 5.551115123125783e-17, "spectrum_deviation": 5.551115123125783e-17},
+         "max_residual": 5.551115123125783e-17, "value_deviation": 2.7755575615628914e-17},
         "n=2 states=3 partitions=1 mismatches=0 worst_boundary_margin=5.613e-02 "
-        "max_residual=5.551e-17\ntwo-qubit spectrum deviation = 5.551e-17\n",
+        "max_residual=5.551e-17 value_deviation=2.776e-17\n",
     ),
     3: (
         {"partitions": 3, "mismatches": 0, "worst_boundary_margin": 0.01864213554762814,
-         "max_residual": 8.326672684688674e-17},
+         "max_residual": 8.326672684688674e-17, "value_deviation": 5.551115123125783e-17},
         "n=3 states=3 partitions=3 mismatches=0 worst_boundary_margin=1.864e-02 "
-        "max_residual=8.327e-17\n",
+        "max_residual=8.327e-17 value_deviation=5.551e-17\n",
     ),
     4: (
         {"partitions": 7, "mismatches": 0, "worst_boundary_margin": 0.011616850395205686,
-         "max_residual": 1.5265566588595902e-16},
+         "max_residual": 1.5265566588595902e-16, "value_deviation": 1.1102230246251565e-16},
         "n=4 states=3 partitions=7 mismatches=0 worst_boundary_margin=1.162e-02 "
-        "max_residual=1.527e-16\n",
+        "max_residual=1.527e-16 value_deviation=1.110e-16\n",
     ),
 }
 

@@ -6,22 +6,17 @@ import pytest
 from hypothesis import given, settings
 
 import ghzent.oracle
-import ghzent.state
-from ghz_reference import mix_with_white_noise
+from ghz_reference import mix_with_white_noise, pt_spectrum_deviation
 from ghzent.analytic import COEFFICIENT_TOL, classify
-from ghzent.cli import pt_spectrum_vs_coefficients
 from ghzent.oracle import (
     DEFAULT_ORACLE,
     OracleTolerances,
     eigenvalues_symmetric,
     is_ppt_dense,
     partial_transpose,
-)
-from ghzent.state import (
-    GhzDiagonalState,
-    random_state,
     to_dense,
 )
+from ghzent.state import GhzDiagonalState, random_state
 from ghzent.subsets import SubsetMask, enumerate_bipartitions
 from test_analytic import ghz_at, sparse_states
 
@@ -159,7 +154,7 @@ def test_pure_ghz_is_npt_everywhere():
 
 def test_dense_comparison_cap():
     s = random_state(11, 0)
-    with pytest.raises(ValueError, match="capped at 10 qubits, got n=11"):
+    with pytest.raises(ValueError, match="dense path supports 1..10 qubits, got 11"):
         is_ppt_dense(s, enumerate_bipartitions(11)[0])
     with pytest.raises(ValueError, match="mixed qubit counts 4 and 3"):
         is_ppt_dense(random_state(3, 0), enumerate_bipartitions(4)[0])
@@ -176,14 +171,17 @@ def test_custom_tolerances_change_the_call(monkeypatch):
     assert not is_ppt_dense(s, p)
 
 
-def test_spectrum_matches_block_coefficients():
-    rng = np.random.default_rng(53)
-    for _ in range(30):
-        n = int(rng.integers(2, 6))
-        s = random_state(n, int(rng.integers(0, 10_000)))
-        for p in enumerate_bipartitions(n):
+@pytest.mark.parametrize("n", range(2, 9))
+def test_spectrum_matches_block_coefficients(n):
+    # every cut up to n = 7, every 8th at n = 8; random states and GHZ next to p*
+    partitions = enumerate_bipartitions(n)[:: 8 if n == 8 else 1]
+    p_star = (1 << n) / ((1 << n) + 2)
+    states = [random_state(n, 53 + 10 * n + i) for i in range(3)]
+    states += [ghz_at(n, p_star - 3e-12), ghz_at(n, p_star + 3e-12)]
+    for s in states:
+        for p in partitions:
             dense = eigenvalues_symmetric(partial_transpose(to_dense(s), p.alpha1)).eigenvalues
-            assert pt_spectrum_vs_coefficients(s, p, dense) < 1e-12
+            assert pt_spectrum_deviation(s, p, dense) < 1e-12
 
 
 def partial_transpose_by_bits(rho, alpha):
@@ -315,14 +313,14 @@ def test_analytic_and_dense_agree_next_to_the_ghz_threshold_at_n9():
 
 
 def test_dense_matrix_is_built_once_per_state(monkeypatch):
-    build = ghzent.state._dense_from_weights
+    build = ghzent.oracle._dense_from_weights
     builds = []
 
     def counting_build(*args):
         builds.append(args[0])
         return build(*args)
 
-    monkeypatch.setattr(ghzent.state, "_dense_from_weights", counting_build)
+    monkeypatch.setattr(ghzent.oracle, "_dense_from_weights", counting_build)
     state = random_state(7, 31)
     partitions = enumerate_bipartitions(7)
     assert len(partitions) == 63

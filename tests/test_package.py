@@ -20,7 +20,6 @@ PUBLIC_NAMES = {
     "CoefficientWitness",
     "PartitionVerdict",
     "ClassificationReport",
-    "coefficient_arrays",
     "is_ppt",
     "classify",
     "noise_threshold",
@@ -35,7 +34,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(ghzent.__all__) == len(PUBLIC_NAMES) == 24
+    assert len(ghzent.__all__) == len(PUBLIC_NAMES) == 23
     assert set(ghzent.__all__) == PUBLIC_NAMES
     for name in ghzent.__all__:
         assert hasattr(ghzent, name), name

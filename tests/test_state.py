@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,16 +15,17 @@ from ghz_reference import (
     reference_state_from_json_dict,
     weight,
 )
+from ghzent.analytic import classify
 from ghzent.cli import main
+from ghzent.oracle import to_dense
 from ghzent.state import (
     GhzDiagonalState,
     load_state,
     random_state,
     state_from_json_dict,
     state_to_json_dict,
-    to_dense,
 )
-from ghzent.subsets import SubsetMask
+from ghzent.subsets import SubsetMask, enumerate_bipartitions
 
 
 def extract_lambda(m: np.ndarray, beta: SubsetMask, sign: int) -> float:
@@ -299,8 +301,51 @@ def test_state_equality_and_repr():
 
 
 def test_to_dense_respects_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dense path supports 1..10 qubits, got 11"):
         to_dense(random_state(11, 0))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: random_state(3.0, 0), "qubit count must be an integer, got 3.0"),
+        (lambda: GhzDiagonalState(3.0, [1, 0, 0, 0], [0] * 4), "qubit count must be an integer"),
+        (lambda: GhzDiagonalState(True, [1, 0], [0, 0]), "qubit count must be an integer, got True"),
+        (lambda: GhzDiagonalState.pure_ghz(3.0), "qubit count must be an integer, got 3.0"),
+        (lambda: enumerate_bipartitions(3.0), "qubit count must be an integer, got 3.0"),
+        (lambda: SubsetMask(1.0, 3), "mask must be an integer, got 1.0"),
+        (lambda: SubsetMask(True, 3), "mask must be an integer, got True"),
+        (lambda: SubsetMask(1, 3.0), "qubit count must be an integer, got 3.0"),
+        (lambda: classify(random_state(3, 0), tol=True), "tol must be a finite number >= 0, got True"),
+        (lambda: classify(random_state(3, 0), tol=np.True_), "tol must be a finite number >= 0, got True"),
+        # numpy integers are taken, and kept as Python ints
+        (lambda: json.dumps(state_to_json_dict(random_state(np.int64(3), 0))), None),
+        (lambda: json.dumps([p.alpha1.bits for p in enumerate_bipartitions(np.int64(3))]), None),
+        (lambda: json.dumps(vars(SubsetMask(np.int64(5), np.uint8(3)))), None),
+    ],
+    ids=[
+        "random_state-float",
+        "state-float",
+        "state-bool",
+        "pure_ghz-float",
+        "enumerate-float",
+        "mask-float",
+        "mask-bool",
+        "mask-float-n",
+        "classify-bool-tol",
+        "classify-numpy-bool-tol",
+        "random_state-int64",
+        "enumerate-int64",
+        "mask-int64",
+    ],
+)
+def test_qubit_counts_masks_and_tolerances_are_checked(call, error):
+    # A float or bool used to fail later with a TypeError, or (a bool) pass as 0 or 1.
+    if error is None:
+        call()
+    else:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            call()
 
 
 NOT_A_BIT_STRING = "error: field 'weights[0].beta' must be an n-digit bit string\n"
