@@ -1,10 +1,13 @@
 """Brute-force ground truth for the analytic classifier: the whole dense route.
 
-:func:`to_dense` writes the density matrix from the definition of the GHZ
-projectors.  Nothing after it uses a GHZ identity: partial transposition
-swaps tensor axes of the full matrix, and positivity is decided by a dense
-Cholesky factorization, or read off a dense real-symmetric eigensolver
-where a caller needs the spectrum.  That is the point of an oracle.
+:func:`_entries` lists the density matrix's entries from the definition of
+the GHZ projectors; :func:`to_dense` scatters them into a matrix.  Nothing
+after that uses a GHZ identity.  :func:`is_ppt_dense` swaps the transposed
+qubits' bits of each entry's row and column index, splits the result into the
+connected components of its pattern, and decides positivity by a complete
+Cholesky factorization of every component.  :func:`partial_transpose` swaps
+tensor axes of a full matrix, and a dense real-symmetric eigensolver gives
+the spectrum where a caller needs it.  That is the point of an oracle.
 """
 
 from __future__ import annotations
@@ -54,11 +57,9 @@ def _check_dense_qubits(n: int) -> None:
 def to_dense(state: GhzDiagonalState) -> np.ndarray:
     """Dense matrix of the state: the weighted sum of its GHZ projectors.
 
-    Class k's vectors (|k> +- |kc>)/sqrt(2), kc the complement of k, put
-    (plus + minus)/2 on (k, k) and (kc, kc) and (plus - minus)/2 on (k, kc)
-    and (kc, k), each from one array, so the matrix is exactly symmetric.
-    Built on the first call and kept on the state: every later call returns
-    the same read-only array, shared by every caller.
+    The scatter of :func:`_entries` into a zero matrix, so it is exactly
+    symmetric.  Built on the first call and kept on the state: every later
+    call returns the same read-only array, shared by every caller.
     """
     dense = state._dense
     if dense is None:
@@ -69,17 +70,27 @@ def to_dense(state: GhzDiagonalState) -> np.ndarray:
     return dense
 
 
-def _dense_from_weights(n: int, lambda_plus: np.ndarray, lambda_minus: np.ndarray) -> np.ndarray:
-    dim = 1 << n
+def _entries(n: int, lambda_plus: np.ndarray, lambda_minus: np.ndarray):
+    """Rows, columns and values of the state's 2^(n+1) entries, one position each.
+
+    Class k's vectors (|k> +- |kc>)/sqrt(2), kc the complement of k, put
+    (plus + minus)/2 on (k, k) and (kc, kc) and (plus - minus)/2 on (k, kc)
+    and (kc, k), each from one array, so the matrix is exactly symmetric.
+    Every other entry is zero.
+    """
     k = np.arange(1 << (n - 1))
-    kc = k ^ (dim - 1)
+    kc = k ^ ((1 << n) - 1)
     diag = (lambda_plus + lambda_minus) / 2.0
     anti = (lambda_plus - lambda_minus) / 2.0
-    m = np.zeros((dim, dim))
-    m[k, k] = diag
-    m[kc, kc] = diag
-    m[k, kc] = anti
-    m[kc, k] = anti
+    rows = np.concatenate((k, kc, k, kc))
+    cols = np.concatenate((k, kc, kc, k))
+    return rows, cols, np.concatenate((diag, diag, anti, anti))
+
+
+def _dense_from_weights(n: int, lambda_plus: np.ndarray, lambda_minus: np.ndarray) -> np.ndarray:
+    rows, cols, values = _entries(n, lambda_plus, lambda_minus)
+    m = np.zeros((1 << n, 1 << n))
+    m[rows, cols] = values
     return m
 
 
@@ -141,21 +152,83 @@ def eigenvalues_symmetric(matrix) -> SpectrumResult:
     return SpectrumResult(evals, residual)
 
 
+def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The smallest index of each index's connected component of the pattern.
+
+    Two indices are joined when an entry sits at (row, column); the pattern
+    is symmetric, so (column, row) is listed too.  Every index starts as its
+    own root; each round hooks every root onto the smallest root it shares
+    an entry with, then jumps pointers until every index points at a root.
+    An index with no entry stays alone.
+    """
+    label = np.arange(dim)
+    while True:
+        lr, lc = label[rows], label[cols]
+        if not (lr != lc).any():
+            return label
+        np.minimum.at(label, lr, lc)
+        while True:
+            up = label[label]
+            if not (up != label).any():
+                break
+            label = up
+
+
+def _is_positive_definite(
+    dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shift: float
+) -> bool:
+    """Whether M + shift * I is positive definite, for the dim x dim symmetric M.
+
+    M holds ``values[i]`` at (``rows[i]``, ``cols[i]``), each position listed
+    at most once and both (r, c) and (c, r) listed for an off-diagonal entry;
+    every other entry is zero.  Ordering the indices by connected component
+    is a symmetric permutation that makes M block-diagonal, and such a matrix
+    is positive definite exactly when every block is.  Each block keeps its
+    indices in ascending order; an index with no entry is a 1 x 1 zero block.
+    The blocks of each size are factorized in one batched Cholesky call,
+    which raises on any block that is not positive definite.
+    """
+    label = _components(dim, rows, cols)
+    size = np.bincount(label, minlength=dim)[label]
+    # By block size, then by block; lexsort is stable, so ascending within a block.
+    order = np.lexsort((label, size))
+    per_size = np.bincount(size)  # how many indices sit in blocks of each size
+    offset = np.empty(dim, dtype=np.intp)
+    offset[order] = np.arange(dim)
+    offset -= (np.cumsum(per_size) - per_size)[size]  # position among its size's indices
+    # Block b of size s holds indices b*s .. b*s + s - 1 of those positions, so
+    # entry (r, c) sits at flat position offset[r] * s + (offset[c] % s) of the stack.
+    entry_size = size[rows]
+    at = offset[rows] * entry_size + offset[cols] % entry_size
+    for s in np.flatnonzero(per_size).tolist():
+        pick = entry_size == s
+        flat = np.zeros(int(per_size[s]) * s)
+        flat[at[pick]] = values[pick]
+        flat.reshape(-1, s * s)[:, :: s + 1] += shift
+        try:
+            np.linalg.cholesky(flat.reshape(-1, s, s))
+        except np.linalg.LinAlgError:
+            return False
+    return True
+
+
 def is_ppt_dense(state: GhzDiagonalState, partition: Bipartition) -> bool:
-    """Positivity of the dense partial transpose across one partition.
+    """Positivity of the partial transpose across one partition.
 
     The smallest eigenvalue is >= -psd_tol exactly when PT + psd_tol * I
     is positive semidefinite, which a Cholesky factorization decides
-    without computing any eigenvalue: it succeeds or raises.  ``psd_tol``
-    is read from this module's ``DEFAULT_ORACLE`` at each call.
+    without computing any eigenvalue: it succeeds or raises.  PT is never built as
+    a 2^n x 2^n matrix: the transpose moves each of the state's entries,
+    swapping the alpha1 bits of its row and column index, and the Cholesky
+    runs on the connected components of the moved entries.  ``psd_tol`` is
+    read from this module's ``DEFAULT_ORACLE`` at each call.
     """
-    pt = partial_transpose(to_dense(state), partition.alpha1)
-    # Cholesky reads one triangle only.  to_dense's matrix is exactly
-    # symmetric and a partial transpose only permutes entries, so pt is
-    # too; nothing else holds that fresh array, so it takes the shift in place.
-    pt.flat[:: pt.shape[0] + 1] += DEFAULT_ORACLE.psd_tol
-    try:
-        np.linalg.cholesky(pt)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    n = state.n
+    _check_dense_qubits(n)
+    alpha = partition.alpha1
+    if alpha.n != n:
+        raise ValueError(f"mixed qubit counts {alpha.n} and {n}")
+    rows, cols, values = _entries(n, state.lambda_plus, state.lambda_minus)
+    # With x the alpha bits where row and column differ, (r, c) moves to (r ^ x, c ^ x).
+    swap = (rows ^ cols) & alpha.bits
+    return _is_positive_definite(1 << n, rows ^ swap, cols ^ swap, values, DEFAULT_ORACLE.psd_tol)

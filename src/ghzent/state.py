@@ -112,6 +112,9 @@ class GhzDiagonalState:
 def random_state(n: int, seed: int) -> GhzDiagonalState:
     """Uniform draw from the weight simplex (flat Dirichlet), seeded."""
     n = _check_qubit_count(n)
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     w = rng.exponential(size=(1 << (n - 1), 2))
     w /= w.sum()

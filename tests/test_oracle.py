@@ -252,7 +252,8 @@ def test_is_ppt_dense_returns_the_eigenvalue_rule_on_a_corpus(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_partial_transpose_of_a_state_is_exactly_symmetric_on_every_cut(n):
-    # is_ppt_dense hands this matrix to Cholesky, which reads one triangle
+    # eigenvalues_symmetric rejects a matrix that is not exactly symmetric,
+    # and oracle-check hands it this one
     for state in verdict_corpus(n):
         rho = to_dense(state)
         assert np.array_equal(rho, rho.T)
@@ -299,17 +300,21 @@ def test_analytic_and_dense_agree_next_to_the_ghz_threshold(n, delta):
         assert [is_ppt_dense(state, part) for part in partitions] == [ppt] * len(partitions)
 
 
-def test_analytic_and_dense_agree_next_to_the_ghz_threshold_at_n9():
-    # Every 8th cut plus the last keeps the 512-dimensional Cholesky tests
-    # to a few dozen per state.
-    n = 9
+def assert_every_cut_flips_at_the_ghz_threshold(n):
     partitions = enumerate_bipartitions(n)
-    picked = partitions[::8] + [partitions[-1]]
     p_star = (1 << n) / ((1 << n) + 2)
     for p, ppt in ((p_star - 3e-12, False), (p_star + 3e-12, True)):
         state = ghz_at(n, p)
         assert classify(state).ppt.tolist() == [ppt] * len(partitions)
-        assert [is_ppt_dense(state, part) for part in picked] == [ppt] * len(picked)
+        assert [is_ppt_dense(state, part) for part in partitions] == [ppt] * len(partitions)
+
+
+def test_analytic_and_dense_agree_next_to_the_ghz_threshold_at_n9():
+    assert_every_cut_flips_at_the_ghz_threshold(9)  # 255 cuts
+
+
+def test_analytic_and_dense_agree_next_to_the_ghz_threshold_at_n10():
+    assert_every_cut_flips_at_the_ghz_threshold(10)  # 511 cuts, the dense cap
 
 
 def test_dense_matrix_is_built_once_per_state(monkeypatch):
@@ -326,15 +331,131 @@ def test_dense_matrix_is_built_once_per_state(monkeypatch):
     assert len(partitions) == 63
     verdicts = [is_ppt_dense(state, part) for part in partitions]
     assert verdicts == classify(state).ppt.tolist()
-    assert builds == [7]
+    assert builds == []  # is_ppt_dense works on the entries, never on a matrix
 
     rho = to_dense(state)
     assert rho is to_dense(state)
+    assert builds == [7]
     with pytest.raises(ValueError):
         rho[0, 0] = 1.0
-    # the in-place shift of every Cholesky test landed on a copy
     assert np.array_equal(rho, build(7, state.lambda_plus, state.lambda_minus))
 
     noisy = mix_with_white_noise(state, 0.3)
     assert to_dense(noisy) is not rho
     assert builds == [7, 7]
+
+
+def scatter(dim, rows, cols, values):
+    m = np.zeros((dim, dim))
+    m[rows, cols] = values
+    return m
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_entries_scatter_into_the_dense_matrix(n):
+    for state in (random_state(n, 100 + n), ghz_at(n, 0.5), GhzDiagonalState.pure_ghz(n)):
+        rows, cols, values = ghzent.oracle._entries(n, state.lambda_plus, state.lambda_minus)
+        assert len(rows) == len(cols) == len(values) == 1 << (n + 1)
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == 1 << (n + 1)  # one position each
+        assert np.array_equal(scatter(1 << n, rows, cols, values), to_dense(state))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_is_ppt_dense_tests_the_partial_transpose_on_every_cut(n, monkeypatch):
+    # The entries is_ppt_dense hands to the block test, scattered, are the
+    # dense partial transpose, bit for bit; so is the shift.
+    decide = ghzent.oracle._is_positive_definite
+    seen = []
+
+    def recording(dim, rows, cols, values, shift):
+        seen.append((scatter(dim, rows, cols, values), shift))
+        return decide(dim, rows, cols, values, shift)
+
+    monkeypatch.setattr(ghzent.oracle, "_is_positive_definite", recording)
+    for state in (random_state(n, 110 + n), ghz_at(n, 0.6), GhzDiagonalState.maximally_mixed(n)):
+        for p in enumerate_bipartitions(n):
+            seen.clear()
+            is_ppt_dense(state, p)
+            [(moved, shift)] = seen
+            assert np.array_equal(moved, partial_transpose(to_dense(state), p.alpha1))
+            assert shift == DEFAULT_ORACLE.psd_tol
+
+
+def random_block_matrix(rng, dim, tol):
+    """A symmetric matrix that is block-diagonal under a random symmetric permutation.
+
+    Each block's smallest eigenvalue is clearly positive, zero, just inside
+    or just outside the shift, clearly negative, or the block has no entries
+    at all.  Half the matrices get no outside or negative block, so both
+    verdicts are common.  Some blocks are chains (tridiagonal in a shuffled
+    index order), whose indices take several rounds to join.
+    """
+    kinds = ["definite", "singular", "inside", "empty"]
+    if rng.random() < 0.5:
+        kinds += ["outside", "indefinite"]
+    m = np.zeros((dim, dim))
+    order = rng.permutation(dim)
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)), replace=False))
+    for block in np.split(order, cuts):
+        s = len(block)
+        kind = rng.choice(kinds)
+        if kind == "empty":
+            continue
+        low = {
+            "definite": rng.uniform(0.1, 2.0),
+            "singular": 0.0,
+            "inside": -0.5 * tol,
+            "outside": -2.0 * tol,
+            "indefinite": -rng.uniform(0.1, 1.0),
+        }[kind]
+        if s > 2 and rng.random() < 0.5:
+            b = np.diag(rng.uniform(0.3, 1.0, s - 1) * rng.choice([-1.0, 1.0], s - 1), 1)
+            b += b.T
+            b += (low - np.linalg.eigvalsh(b)[0]) * np.eye(s)
+        else:
+            q = np.linalg.qr(rng.normal(size=(s, s)))[0]
+            eigs = rng.uniform(low, low + 2.0, size=s)
+            eigs[rng.integers(s)] = low
+            b = (q * eigs) @ q.T
+            b = (b + b.T) / 2
+        m[np.ix_(block, block)] = b
+    return m
+
+
+def test_block_test_agrees_with_dense_cholesky_on_matrices_that_are_not_ghz_diagonal():
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for _ in range(400):
+        dim = int(rng.integers(2, 65))
+        tol = float(rng.choice([1e-3, 1e-2]))
+        m = random_block_matrix(rng, dim, tol)
+        rows, cols = np.nonzero(m)
+        shuffle = rng.permutation(len(rows))
+        rows, cols = rows[shuffle], cols[shuffle]
+        try:
+            np.linalg.cholesky(m + tol * np.eye(dim))
+            dense = True
+        except np.linalg.LinAlgError:
+            dense = False
+        got = ghzent.oracle._is_positive_definite(dim, rows, cols, m[rows, cols], tol)
+        assert got == dense
+        verdicts.append(dense)
+    assert 0.1 < np.mean(verdicts) < 0.9  # both verdicts are well represented
+
+
+@pytest.mark.parametrize("dim", [2, 7, 64])
+def test_block_test_on_whole_matrix_single_blocks_and_empty_rows(dim):
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(dim, dim))
+    whole = g @ g.T + np.eye(dim)  # one block: every index joined
+    rows, cols = np.nonzero(whole)
+    assert ghzent.oracle._is_positive_definite(dim, rows, cols, whole[rows, cols], 1e-9)
+    whole[0, 0] = -1.0
+    assert not ghzent.oracle._is_positive_definite(dim, rows, cols, whole[rows, cols], 1e-9)
+    # no entry at all: every row is a 1 x 1 zero block, positive once shifted
+    none = np.array([], dtype=np.intp)
+    assert ghzent.oracle._is_positive_definite(dim, none, none, np.array([]), 1e-9)
+    # one negative diagonal entry among empty rows
+    last = np.array([dim - 1])
+    assert not ghzent.oracle._is_positive_definite(dim, last, last, np.array([-1e-6]), 1e-9)
+    assert ghzent.oracle._is_positive_definite(dim, last, last, np.array([-1e-10]), 1e-9)

@@ -348,6 +348,31 @@ def test_qubit_counts_masks_and_tolerances_are_checked(call, error):
             call()
 
 
+@pytest.mark.parametrize(
+    "seed, error",
+    [
+        (2.5, "seed must be an integer, got 2.5"),
+        (True, "seed must be an integer, got True"),
+        (np.True_, "seed must be an integer, got "),  # numpy 2 prints np.True_
+        ("1", "seed must be an integer, got '1'"),
+        (-1, "seed must be >= 0, got -1"),
+    ],
+    ids=["float", "bool", "numpy-bool", "string", "negative"],
+)
+def test_random_state_checks_its_seed(seed, error):
+    # 2.5 used to raise numpy's TypeError, and True ran as seed 1
+    with pytest.raises(ValueError, match=re.escape(error)):
+        random_state(3, seed)
+
+
+def test_random_state_takes_numpy_integer_seeds():
+    expected = random_state(3, 5)
+    for seed in (np.int64(5), np.uint8(5)):
+        drawn = random_state(3, seed)
+        assert np.array_equal(drawn.lambda_plus, expected.lambda_plus)
+        assert np.array_equal(drawn.lambda_minus, expected.lambda_minus)
+
+
 NOT_A_BIT_STRING = "error: field 'weights[0].beta' must be an n-digit bit string\n"
 
 

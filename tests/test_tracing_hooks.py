@@ -102,9 +102,10 @@ def test_traced_cli_run_gives_the_same_answers(capsys):
         assert getattr(ghzent.cli, attr) is fn
 
 
-def test_traced_is_ppt_dense_shows_its_dense_layers():
-    # is_ppt_dense must reach to_dense and partial_transpose through
-    # ghzent.oracle's globals, or the traced run cannot time those layers.
+def test_traced_is_ppt_dense_calls_no_dense_layer():
+    # is_ppt_dense builds neither the dense matrix nor its partial transpose,
+    # so the traced run shows no call on to_dense or partial_transpose: its
+    # time lands under oracle.is_ppt_dense.  The verdict is the same traced.
     tracing = _tracing()
     state = load_state(STATE)
     partition = enumerate_bipartitions(state.n)[2]
@@ -113,5 +114,4 @@ def test_traced_is_ppt_dense_shows_its_dense_layers():
     with tracing.installed(tracer):
         verdict = ghzent.oracle.is_ppt_dense(state, partition)
     assert verdict == ghzent.oracle.is_ppt_dense(state, partition)
-    names = sorted(span[0] for span in tracer.spans)
-    assert names == ["oracle.partial_transpose", "state.to_dense"]
+    assert tracer.spans == []
