@@ -1,17 +1,20 @@
 """Brute-force ground truth for the analytic classifier: the whole dense route.
 
-:func:`_entries` lists the density matrix's entries from the definition of
-the GHZ projectors; :func:`to_dense` scatters them into a matrix.  Nothing
-after that uses a GHZ identity.  :func:`is_ppt_dense` swaps the transposed
-qubits' bits of each entry's row and column index, splits the result into the
-connected components of its pattern, and decides positivity by a complete
-Cholesky factorization of every component.  :func:`partial_transpose` swaps
+:func:`_positions` and :func:`_values` list the density matrix's entries
+from the definition of the GHZ projectors; :func:`to_dense` scatters them into
+a matrix.  Nothing after that uses a GHZ identity.  :func:`is_ppt_dense` swaps
+the transposed qubits' bits of each entry's row and column index, splits the
+result into the connected components of its pattern, and decides positivity
+by a complete Cholesky factorization of every component.  Where the entries
+land depends on n and the cut alone, so each cut's layout (index arrays only)
+is worked out once per process and kept.  :func:`partial_transpose` swaps
 tensor axes of a full matrix, and a dense real-symmetric eigensolver gives
 the spectrum where a caller needs it.  That is the point of an oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,7 @@ from .state import GhzDiagonalState
 from .subsets import Bipartition, SubsetMask
 
 MAX_DENSE_QUBITS = 10
+_LAYOUT_CACHE_SIZE = (1 << MAX_DENSE_QUBITS) - 1 - MAX_DENSE_QUBITS  # every cut, n <= 10: 1013
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ def _check_dense_qubits(n: int) -> None:
 def to_dense(state: GhzDiagonalState) -> np.ndarray:
     """Dense matrix of the state: the weighted sum of its GHZ projectors.
 
-    The scatter of :func:`_entries` into a zero matrix, so it is exactly
+    The scatter of :func:`_values` at :func:`_positions` into a zero matrix, so it is exactly
     symmetric.  Built on the first call and kept on the state: every later
     call returns the same read-only array, shared by every caller.
     """
@@ -70,27 +74,27 @@ def to_dense(state: GhzDiagonalState) -> np.ndarray:
     return dense
 
 
-def _entries(n: int, lambda_plus: np.ndarray, lambda_minus: np.ndarray):
-    """Rows, columns and values of the state's 2^(n+1) entries, one position each.
-
-    Class k's vectors (|k> +- |kc>)/sqrt(2), kc the complement of k, put
-    (plus + minus)/2 on (k, k) and (kc, kc) and (plus - minus)/2 on (k, kc)
-    and (kc, k), each from one array, so the matrix is exactly symmetric.
-    Every other entry is zero.
-    """
+def _positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the state's 2^(n+1) entries, one position each: class
+    k's vectors (|k> +- |kc>)/sqrt(2), kc the complement of k, put an entry on
+    (k, k), (kc, kc), (k, kc) and (kc, k).  Every other entry is zero."""
     k = np.arange(1 << (n - 1))
     kc = k ^ ((1 << n) - 1)
+    return np.concatenate((k, kc, k, kc)), np.concatenate((k, kc, kc, k))
+
+
+def _values(lambda_plus: np.ndarray, lambda_minus: np.ndarray) -> np.ndarray:
+    """The entries' values in :func:`_positions` order: (plus + minus)/2 on the
+    diagonal, (plus - minus)/2 off it, each from one array, so exactly symmetric."""
     diag = (lambda_plus + lambda_minus) / 2.0
     anti = (lambda_plus - lambda_minus) / 2.0
-    rows = np.concatenate((k, kc, k, kc))
-    cols = np.concatenate((k, kc, kc, k))
-    return rows, cols, np.concatenate((diag, diag, anti, anti))
+    return np.concatenate((diag, diag, anti, anti))
 
 
 def _dense_from_weights(n: int, lambda_plus: np.ndarray, lambda_minus: np.ndarray) -> np.ndarray:
-    rows, cols, values = _entries(n, lambda_plus, lambda_minus)
+    rows, cols = _positions(n)
     m = np.zeros((1 << n, 1 << n))
-    m[rows, cols] = values
+    m[rows, cols] = _values(lambda_plus, lambda_minus)
     return m
 
 
@@ -174,20 +178,13 @@ def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
             label = up
 
 
-def _is_positive_definite(
-    dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shift: float
-) -> bool:
-    """Whether M + shift * I is positive definite, for the dim x dim symmetric M.
-
-    M holds ``values[i]`` at (``rows[i]``, ``cols[i]``), each position listed
-    at most once and both (r, c) and (c, r) listed for an off-diagonal entry;
-    every other entry is zero.  Ordering the indices by connected component
-    is a symmetric permutation that makes M block-diagonal, and such a matrix
-    is positive definite exactly when every block is.  Each block keeps its
-    indices in ascending order; an index with no entry is a 1 x 1 zero block.
-    The blocks of each size are factorized in one batched Cholesky call,
-    which raises on any block that is not positive definite.
-    """
+def _layout(dim: int, rows: np.ndarray, cols: np.ndarray):
+    """``(at, slots, blocks)``: where the entries of a dim x dim symmetric pattern
+    sit in one flat buffer of ``slots`` elements that holds its blocks back to
+    back, and per block size s, in buffer order, the (count, s) array of the
+    blocks' indices.  The blocks are the pattern's connected components (an
+    index with no entry is a 1 x 1 block), by size, then by block, each with
+    its indices ascending: a symmetric permutation to block-diagonal form."""
     label = _components(dim, rows, cols)
     size = np.bincount(label, minlength=dim)[label]
     # By block size, then by block; lexsort is stable, so ascending within a block.
@@ -195,21 +192,51 @@ def _is_positive_definite(
     per_size = np.bincount(size)  # how many indices sit in blocks of each size
     offset = np.empty(dim, dtype=np.intp)
     offset[order] = np.arange(dim)
-    offset -= (np.cumsum(per_size) - per_size)[size]  # position among its size's indices
-    # Block b of size s holds indices b*s .. b*s + s - 1 of those positions, so
-    # entry (r, c) sits at flat position offset[r] * s + (offset[c] % s) of the stack.
+    end = np.cumsum(per_size)  # where the indices in blocks of each size end in order
+    offset -= (end - per_size)[size]  # position among its size's indices
+    # Block b of size s holds indices b*s .. b*s + s - 1 of those positions, so entry
+    # (r, c) sits at offset[r] * s + (offset[c] % s) of the stack of size s, whose
+    # per_size[s] * s slots follow those of every smaller size.
+    area = per_size * np.arange(per_size.size)
     entry_size = size[rows]
-    at = offset[rows] * entry_size + offset[cols] % entry_size
-    for s in np.flatnonzero(per_size).tolist():
-        pick = entry_size == s
-        flat = np.zeros(int(per_size[s]) * s)
-        flat[at[pick]] = values[pick]
-        flat.reshape(-1, s * s)[:, :: s + 1] += shift
+    at = offset[rows] * entry_size + offset[cols] % entry_size + (np.cumsum(area) - area)[entry_size]
+    sizes = np.flatnonzero(per_size).tolist()
+    blocks = tuple(order[end[s] - per_size[s] : end[s]].reshape(-1, s) for s in sizes)
+    for array in (at, *blocks):  # the kept layout is shared: read-only index arrays
+        array.flags.writeable = False
+    return at, int(area.sum()), blocks
+
+
+def _factorizes(layout, values: np.ndarray, shift: float) -> bool:
+    """Whether M + shift * I is positive definite, M holding ``values`` as laid
+    out: whether every block is.  Each block size gets one batched Cholesky call,
+    which raises on any block that is not."""
+    at, slots, blocks = layout
+    flat = np.zeros(slots)
+    flat[at] = values
+    for b in blocks:
+        count, s = b.shape
+        stack, flat = flat[: count * s * s].reshape(count, s, s), flat[count * s * s :]
+        stack.reshape(count, s * s)[:, :: s + 1] += shift
         try:
-            np.linalg.cholesky(flat.reshape(-1, s, s))
+            np.linalg.cholesky(stack)
         except np.linalg.LinAlgError:
             return False
     return True
+
+
+def _is_positive_definite(dim: int, rows, cols, values, shift: float) -> bool:
+    """:func:`_factorizes` for M holding ``values[i]`` at (``rows[i]``, ``cols[i]``)."""
+    return _factorizes(_layout(dim, rows, cols), values, shift)
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _cut_layout(n: int, bits: int):
+    """:func:`_layout` of the entry positions moved by transposing the qubits in ``bits``."""
+    rows, cols = _positions(n)
+    # With x the alpha bits where row and column differ, (r, c) moves to (r ^ x, c ^ x).
+    swap = (rows ^ cols) & bits
+    return _layout(1 << n, rows ^ swap, cols ^ swap)
 
 
 def is_ppt_dense(state: GhzDiagonalState, partition: Bipartition) -> bool:
@@ -220,15 +247,13 @@ def is_ppt_dense(state: GhzDiagonalState, partition: Bipartition) -> bool:
     without computing any eigenvalue: it succeeds or raises.  PT is never built as
     a 2^n x 2^n matrix: the transpose moves each of the state's entries,
     swapping the alpha1 bits of its row and column index, and the Cholesky
-    runs on the connected components of the moved entries.  ``psd_tol`` is
-    read from this module's ``DEFAULT_ORACLE`` at each call.
+    runs on the connected components of the moved entries, a layout kept
+    per cut.  ``psd_tol`` is read from ``DEFAULT_ORACLE`` at each call.
     """
     n = state.n
     _check_dense_qubits(n)
     alpha = partition.alpha1
     if alpha.n != n:
         raise ValueError(f"mixed qubit counts {alpha.n} and {n}")
-    rows, cols, values = _entries(n, state.lambda_plus, state.lambda_minus)
-    # With x the alpha bits where row and column differ, (r, c) moves to (r ^ x, c ^ x).
-    swap = (rows ^ cols) & alpha.bits
-    return _is_positive_definite(1 << n, rows ^ swap, cols ^ swap, values, DEFAULT_ORACLE.psd_tol)
+    values = _values(state.lambda_plus, state.lambda_minus)
+    return _factorizes(_cut_layout(n, alpha.bits), values, DEFAULT_ORACLE.psd_tol)

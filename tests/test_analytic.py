@@ -30,7 +30,7 @@ from ghzent.analytic import (
 )
 from ghzent.oracle import eigenvalues_symmetric, is_ppt_dense, partial_transpose, to_dense
 from ghzent.state import GhzDiagonalState, random_state
-from ghzent.subsets import SubsetMask, enumerate_bipartitions
+from ghzent.subsets import Bipartition, SubsetMask, enumerate_bipartitions
 
 
 # -- one block at a time: the per-class reference for the vectorized paths -----
@@ -526,6 +526,33 @@ def large_scan_corpus():
 @pytest.mark.parametrize("state", [*scan_corpus(), *large_scan_corpus()])
 def test_partition_minima_matches_reference(state):
     assert_minima_match_reference(state)
+
+
+def large_state(n, family):
+    """One state of a family at large n, built when the test runs: 8 MB at n = 20."""
+    p_star = (1 << n) / ((1 << n) + 2)
+    if family == "random":
+        return random_state(n, n)
+    if family == "mixed":
+        return GhzDiagonalState.maximally_mixed(n)
+    if family == "dephased":
+        return dephased_state(n, n)
+    return ghz_at(n, p_star - 1e-9 if family == "ghz-below" else p_star + 1e-9)
+
+
+@pytest.mark.parametrize("family", ["random", "mixed", "dephased", "ghz-below", "ghz-above"])
+@pytest.mark.parametrize("n", [16, 18, 20])
+def test_partition_minima_matches_reference_on_sampled_cuts_at_large_n(n, family):
+    # From n = 16 the scan's blocks start one class wide (_BLOCK_ENTRIES //
+    # live.size in _scan_minima); every cut is too slow for the reference, so
+    # 64 random cuts plus the first and the last, in enumerate_bipartitions order.
+    state = large_state(n, family)
+    values, classes, codes = partition_minima(state)
+    top = 1 << (n - 1)
+    sample = np.random.default_rng(n).integers(1, top - 2, size=64).tolist()
+    for i in [0, *sample, top - 2]:
+        value, w, code = reference_pair_cut(state, Bipartition(SubsetMask(top | i, n)))
+        assert (values[i], classes[i], codes[i]) == (value, w, code), i  # bit-equal
 
 
 @st.composite

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import ghzent.oracle
 from ghz_reference import mix_with_white_noise, pt_spectrum_deviation
 from ghzent.analytic import COEFFICIENT_TOL, classify
+from ghzent.cli import _bench_quantised
 from ghzent.oracle import (
     DEFAULT_ORACLE,
     OracleTolerances,
@@ -18,7 +19,14 @@ from ghzent.oracle import (
 )
 from ghzent.state import GhzDiagonalState, random_state
 from ghzent.subsets import SubsetMask, enumerate_bipartitions
-from test_analytic import ghz_at, sparse_states
+from test_analytic import (
+    classical_ghz,
+    from_weights,
+    ghz_at,
+    parity_flat_state,
+    sparse_repeated_state,
+    sparse_states,
+)
 
 
 def random_symmetric(rng, n):
@@ -317,6 +325,32 @@ def test_analytic_and_dense_agree_next_to_the_ghz_threshold_at_n10():
     assert_every_cut_flips_at_the_ghz_threshold(10)  # 511 cuts, the dense cap
 
 
+def shadow_state(n):
+    """Classes j < 2^(n-2) hold lambda_plus = lambda_minus, the others lambda_minus = 0."""
+    plus = np.ones(1 << (n - 1))
+    minus = (np.arange(1 << (n - 1)) < 1 << (n - 2)).astype(float)
+    return from_weights(n, np.concatenate([plus, minus]))
+
+
+TIED_FAMILIES = {
+    "quantised-seed0": lambda n: _bench_quantised(n, 0),
+    "quantised-seed1": lambda n: _bench_quantised(n, 1),
+    "two-level": lambda n: _bench_quantised(n, 0, 2),
+    "shadow": shadow_state,
+    "parity-flat": lambda n: parity_flat_state(n, 0),
+    "sparse-repeated": lambda n: sparse_repeated_state(n, 0),
+    "classical-ghz": classical_ghz,
+}
+
+
+@pytest.mark.parametrize("family", TIED_FAMILIES)
+@pytest.mark.parametrize("n", [9, 10])
+def test_analytic_and_dense_agree_on_tied_weights_on_every_cut(n, family):
+    state = TIED_FAMILIES[family](n)
+    verdicts = [is_ppt_dense(state, p) for p in enumerate_bipartitions(n)]
+    assert verdicts == classify(state).ppt.tolist()
+
+
 def test_dense_matrix_is_built_once_per_state(monkeypatch):
     build = ghzent.oracle._dense_from_weights
     builds = []
@@ -353,32 +387,74 @@ def scatter(dim, rows, cols, values):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_entries_scatter_into_the_dense_matrix(n):
+    rows, cols = ghzent.oracle._positions(n)
+    assert len(rows) == len(cols) == 1 << (n + 1)
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == 1 << (n + 1)  # one position each
     for state in (random_state(n, 100 + n), ghz_at(n, 0.5), GhzDiagonalState.pure_ghz(n)):
-        rows, cols, values = ghzent.oracle._entries(n, state.lambda_plus, state.lambda_minus)
-        assert len(rows) == len(cols) == len(values) == 1 << (n + 1)
-        assert len(set(zip(rows.tolist(), cols.tolist()))) == 1 << (n + 1)  # one position each
+        values = ghzent.oracle._values(state.lambda_plus, state.lambda_minus)
         assert np.array_equal(scatter(1 << n, rows, cols, values), to_dense(state))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_is_ppt_dense_tests_the_partial_transpose_on_every_cut(n, monkeypatch):
-    # The entries is_ppt_dense hands to the block test, scattered, are the
-    # dense partial transpose, bit for bit; so is the shift.
-    decide = ghzent.oracle._is_positive_definite
+    # The blocks is_ppt_dense hands to Cholesky, placed back at their
+    # indices, are the dense partial transpose plus psd_tol * I, bit for bit;
+    # the blocks cover every index once, and the partial transpose is zero
+    # outside them.
+    cholesky = np.linalg.cholesky
     seen = []
 
-    def recording(dim, rows, cols, values, shift):
-        seen.append((scatter(dim, rows, cols, values), shift))
-        return decide(dim, rows, cols, values, shift)
+    def recording(stack):
+        seen.append(stack.copy())
+        return cholesky(stack)
 
-    monkeypatch.setattr(ghzent.oracle, "_is_positive_definite", recording)
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    dim = 1 << n
     for state in (random_state(n, 110 + n), ghz_at(n, 0.6), GhzDiagonalState.maximally_mixed(n)):
         for p in enumerate_bipartitions(n):
             seen.clear()
             is_ppt_dense(state, p)
-            [(moved, shift)] = seen
-            assert np.array_equal(moved, partial_transpose(to_dense(state), p.alpha1))
-            assert shift == DEFAULT_ORACLE.psd_tol
+            _, _, blocks = ghzent.oracle._cut_layout(n, p.alpha1.bits)
+            indices = np.concatenate([b.ravel() for b in blocks])
+            assert np.array_equal(np.sort(indices), np.arange(dim))
+            # rho's pattern has one block size on every cut, so the one Cholesky
+            # call sees every block, also on a cut where it raises
+            assert len(seen) == len(blocks)
+            shifted = partial_transpose(to_dense(state), p.alpha1) + DEFAULT_ORACLE.psd_tol * np.eye(dim)
+            outside = np.ones((dim, dim), dtype=bool)
+            for stack, b in zip(seen, blocks):
+                at = (b[:, :, None], b[:, None, :])
+                assert np.array_equal(stack, shifted[at])
+                outside[at] = False
+            assert not shifted[outside].any()
+
+
+def test_cut_layouts_are_kept_per_cut_and_hold_no_weights():
+    layouts = ghzent.oracle._cut_layout
+    partitions = enumerate_bipartitions(7)
+    first, second = random_state(7, 41), random_state(7, 42)
+    assert [is_ppt_dense(first, p) for p in partitions] == classify(first).ppt.tolist()
+    before = layouts.cache_info()
+    assert [is_ppt_dense(second, p) for p in partitions] == classify(second).ppt.tolist()
+    after = layouts.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (63, 0)
+    # the same cut, alternating between an NPT and a PPT state
+    p_star = 128 / 130
+    below, above = ghz_at(7, p_star - 1e-9), ghz_at(7, p_star + 1e-9)
+    cut = partitions[17]
+    assert [is_ppt_dense(s, cut) for s in (below, above, below, above)] == [False, True] * 2
+
+
+def test_layouts_of_every_cut_up_to_the_cap_fit_in_24_mb():
+    total = 0
+    for n in range(2, ghzent.oracle.MAX_DENSE_QUBITS + 1):
+        for p in enumerate_bipartitions(n):
+            at, _, blocks = ghzent.oracle._cut_layout(n, p.alpha1.bits)
+            for array in (at, *blocks):
+                assert array.dtype == np.intp and not array.flags.writeable  # indices only
+                total += array.nbytes
+    assert ghzent.oracle._cut_layout.cache_info().currsize == 1013  # every cut is kept
+    assert total <= 24e6
 
 
 def random_block_matrix(rng, dim, tol):
