@@ -11,8 +11,9 @@ states that are each separable across some cut can still be NPT on every
 cut.
 
 The analytic path (:mod:`ghzent.analytic`) scales to two dozen qubits; the
-dense path (:mod:`ghzent.oracle`) builds the 2^N-dimensional matrices and
-is kept as an independent cross-check for small N.
+dense path (:mod:`ghzent.oracle`) factorizes the partial transpose's blocks,
+built from the density matrix's entries, and is kept as an independent
+cross-check for small N.
 """
 
 from .subsets import (
@@ -37,14 +38,7 @@ from .analytic import (
     is_ppt,
     noise_threshold,
 )
-from .oracle import (
-    DEFAULT_ORACLE,
-    SpectrumResult,
-    eigenvalues_symmetric,
-    is_ppt_dense,
-    partial_transpose,
-    to_dense,
-)
+from .oracle import DEFAULT_ORACLE, is_ppt_dense
 
 __version__ = "0.1.0"
 
@@ -54,7 +48,6 @@ __all__ = [
     "Bipartition",
     "enumerate_bipartitions",
     "GhzDiagonalState",
-    "to_dense",
     "random_state",
     "state_to_json_dict",
     "state_from_json_dict",
@@ -67,9 +60,6 @@ __all__ = [
     "noise_threshold",
     "full_entanglement_threshold",
     "DEFAULT_ORACLE",
-    "SpectrumResult",
-    "partial_transpose",
-    "eigenvalues_symmetric",
     "is_ppt_dense",
     "__version__",
 ]

@@ -1,15 +1,14 @@
 """Brute-force ground truth for the analytic classifier: the whole dense route.
 
 :func:`_positions` and :func:`_values` list the density matrix's entries
-from the definition of the GHZ projectors; :func:`to_dense` scatters them into
-a matrix.  Nothing after that uses a GHZ identity.  :func:`is_ppt_dense` swaps
-the transposed qubits' bits of each entry's row and column index, splits the
-result into the connected components of its pattern, and decides positivity
-by a complete Cholesky factorization of every component.  Where the entries
-land depends on n and the cut alone, so each cut's layout (index arrays only)
-is worked out once per process and kept.  :func:`partial_transpose` swaps
-tensor axes of a full matrix, and a dense real-symmetric eigensolver gives
-the spectrum where a caller needs it.  That is the point of an oracle.
+from the definition of the GHZ projectors.  Nothing after that uses a GHZ
+identity.  A cut swaps the transposed qubits' bits of each entry's row and
+column index and splits the result into the connected components of its
+pattern, a layout kept per cut.  :func:`is_ppt_dense` runs a Cholesky
+factorization on those blocks, :func:`smallest_pt_eigenvalue` a dense
+eigensolver.  That is the point of an oracle.  :func:`to_dense`,
+:func:`partial_transpose` and :func:`eigenvalues_symmetric` work on the whole
+2^n x 2^n matrix, as the tests' reference; no route here calls them.
 """
 
 from __future__ import annotations
@@ -59,19 +58,12 @@ def _check_dense_qubits(n: int) -> None:
 
 
 def to_dense(state: GhzDiagonalState) -> np.ndarray:
-    """Dense matrix of the state: the weighted sum of its GHZ projectors.
-
-    The scatter of :func:`_values` at :func:`_positions` into a zero matrix, so it is exactly
-    symmetric.  Built on the first call and kept on the state: every later
-    call returns the same read-only array, shared by every caller.
-    """
-    dense = state._dense
-    if dense is None:
-        _check_dense_qubits(state.n)
-        dense = _dense_from_weights(state.n, state.lambda_plus, state.lambda_minus)
-        dense.flags.writeable = False
-        state._dense = dense
-    return dense
+    """Dense matrix of the state, the weighted sum of its GHZ projectors: a fresh
+    scatter of its entry values at :func:`_positions`, so exactly symmetric."""
+    _check_dense_qubits(state.n)
+    m = np.zeros((1 << state.n, 1 << state.n))
+    m[_positions(state.n)] = _entry_values(state)
+    return m
 
 
 def _positions(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -91,11 +83,13 @@ def _values(lambda_plus: np.ndarray, lambda_minus: np.ndarray) -> np.ndarray:
     return np.concatenate((diag, diag, anti, anti))
 
 
-def _dense_from_weights(n: int, lambda_plus: np.ndarray, lambda_minus: np.ndarray) -> np.ndarray:
-    rows, cols = _positions(n)
-    m = np.zeros((1 << n, 1 << n))
-    m[rows, cols] = _values(lambda_plus, lambda_minus)
-    return m
+def _entry_values(state: GhzDiagonalState) -> np.ndarray:
+    """:func:`_values` of the state's weights, built on the first call and kept
+    on the state, which is immutable: read-only, shared by every cut."""
+    if state._entry_values is None:
+        state._entry_values = _values(state.lambda_plus, state.lambda_minus)
+        state._entry_values.flags.writeable = False
+    return state._entry_values
 
 
 def _qubit_count(matrix: np.ndarray) -> int:
@@ -136,11 +130,10 @@ def partial_transpose(matrix: np.ndarray, alpha: SubsetMask) -> np.ndarray:
 def eigenvalues_symmetric(matrix) -> SpectrumResult:
     """Full real spectrum of a symmetric matrix, sorted ascending.
 
-    Delegates to LAPACK's symmetric eigensolver and reports the worst
-    residual max-norm of M v - e v so callers can see the achieved
-    accuracy.  Non-convergence raises instead of looping.  This is where
-    a matrix from outside is checked: square, a power-of-two dimension,
-    at most ``MAX_DENSE_QUBITS`` qubits, and exactly symmetric.
+    LAPACK's symmetric eigensolver, with the worst residual max|M v - v e|.
+    Non-convergence raises instead of looping.  The matrix must be square, of
+    power-of-two dimension, at most ``MAX_DENSE_QUBITS`` qubits, and exactly
+    symmetric.
     """
     mat = np.asarray(matrix, dtype=float)
     _check_dense_qubits(_qubit_count(mat))
@@ -207,27 +200,29 @@ def _layout(dim: int, rows: np.ndarray, cols: np.ndarray):
     return at, int(area.sum()), blocks
 
 
+def _block_stacks(layout, values: np.ndarray):
+    """The blocks of M, M holding ``values`` as laid out: one (count, s, s) stack
+    per block size s, each a writable view of one fresh buffer."""
+    at, slots, blocks = layout
+    flat = np.zeros(slots)
+    flat[at] = values
+    for count, s in (b.shape for b in blocks):
+        yield flat[: count * s * s].reshape(count, s, s)
+        flat = flat[count * s * s :]
+
+
 def _factorizes(layout, values: np.ndarray, shift: float) -> bool:
     """Whether M + shift * I is positive definite, M holding ``values`` as laid
     out: whether every block is.  Each block size gets one batched Cholesky call,
     which raises on any block that is not."""
-    at, slots, blocks = layout
-    flat = np.zeros(slots)
-    flat[at] = values
-    for b in blocks:
-        count, s = b.shape
-        stack, flat = flat[: count * s * s].reshape(count, s, s), flat[count * s * s :]
+    for stack in _block_stacks(layout, values):
+        count, s, _ = stack.shape
         stack.reshape(count, s * s)[:, :: s + 1] += shift
         try:
             np.linalg.cholesky(stack)
         except np.linalg.LinAlgError:
             return False
     return True
-
-
-def _is_positive_definite(dim: int, rows, cols, values, shift: float) -> bool:
-    """:func:`_factorizes` for M holding ``values[i]`` at (``rows[i]``, ``cols[i]``)."""
-    return _factorizes(_layout(dim, rows, cols), values, shift)
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
@@ -237,6 +232,16 @@ def _cut_layout(n: int, bits: int):
     # With x the alpha bits where row and column differ, (r, c) moves to (r ^ x, c ^ x).
     swap = (rows ^ cols) & bits
     return _layout(1 << n, rows ^ swap, cols ^ swap)
+
+
+def _layout_of(state: GhzDiagonalState, partition: Bipartition):
+    """The kept :func:`_cut_layout` of the partition's cut, once both are checked."""
+    n = state.n
+    _check_dense_qubits(n)
+    alpha = partition.alpha1
+    if alpha.n != n:
+        raise ValueError(f"mixed qubit counts {alpha.n} and {n}")
+    return _cut_layout(n, alpha.bits)
 
 
 def is_ppt_dense(state: GhzDiagonalState, partition: Bipartition) -> bool:
@@ -250,10 +255,20 @@ def is_ppt_dense(state: GhzDiagonalState, partition: Bipartition) -> bool:
     runs on the connected components of the moved entries, a layout kept
     per cut.  ``psd_tol`` is read from ``DEFAULT_ORACLE`` at each call.
     """
-    n = state.n
-    _check_dense_qubits(n)
-    alpha = partition.alpha1
-    if alpha.n != n:
-        raise ValueError(f"mixed qubit counts {alpha.n} and {n}")
-    values = _values(state.lambda_plus, state.lambda_minus)
-    return _factorizes(_cut_layout(n, alpha.bits), values, DEFAULT_ORACLE.psd_tol)
+    return _factorizes(_layout_of(state, partition), _entry_values(state), DEFAULT_ORACLE.psd_tol)
+
+
+def smallest_pt_eigenvalue(state: GhzDiagonalState, partition: Bipartition) -> tuple[float, float]:
+    """``(low, residual)``: the smallest eigenvalue of the partial transpose across
+    one partition, and the worst residual max|B v - v e| over its blocks B, the
+    blocks :func:`is_ppt_dense` factorizes.  One batched LAPACK symmetric
+    eigensolver call per block size; non-convergence raises instead of looping."""
+    low, residual = np.inf, 0.0
+    for stack in _block_stacks(_layout_of(state, partition), _entry_values(state)):
+        try:
+            evals, vecs = np.linalg.eigh(stack)
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
+        low = min(low, float(evals[:, 0].min()))
+        residual = max(residual, float(np.abs(stack @ vecs - vecs * evals[:, None, :]).max()))
+    return low, residual

@@ -49,11 +49,11 @@ class GhzDiagonalState:
 
     ``lambda_plus[k]`` and ``lambda_minus[k]`` weight the +/- vectors of the
     canonical class whose basis index is ``k``.  Instances are immutable, so
-    the dense matrix of ``oracle.to_dense`` and the read-only minima of
-    ``analytic.partition_minima`` are kept here once built, for every caller.
+    the density matrix's entry values (the dense oracle's) and the minima of
+    ``analytic.partition_minima`` are kept here, read-only, once built.
     """
 
-    __slots__ = ("_n", "_lambda_plus", "_lambda_minus", "_dense", "_minima")
+    __slots__ = ("_n", "_lambda_plus", "_lambda_minus", "_entry_values", "_minima")
 
     def __init__(self, n: int, lambda_plus, lambda_minus):
         n = _check_qubit_count(n)
@@ -66,7 +66,7 @@ class GhzDiagonalState:
         self._n = n
         self._lambda_plus = lp
         self._lambda_minus = lm
-        self._dense = None
+        self._entry_values = None
         self._minima = None
 
     @property

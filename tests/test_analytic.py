@@ -699,13 +699,14 @@ def test_witness_is_a_ghz_vector_of_the_partial_transpose(state):
     # value certifies NPT across the cut.
     n = state.n
     report = classify(state)
+    rho = to_dense(state)
     for p, value, j, code in zip(
         enumerate_bipartitions(n), report.values, report.classes, report.codes
     ):
         k = int(j) ^ p.alpha2.bits
         beta, sign = ((k, +1), (j, -1), (j, +1), (k, -1))[code]
         g = ghz_vector(SubsetMask(int(beta), n), sign).to_dense()
-        pt = partial_transpose(to_dense(state), p.alpha1)
+        pt = partial_transpose(rho, p.alpha1)
         assert abs(g @ pt @ g - value / 2) <= 1e-14
 
 

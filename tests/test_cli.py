@@ -226,8 +226,15 @@ def test_oracle_check_agrees(capsys):
     assert "mismatches=0 " in out
     assert float(out.split("max_residual=")[1].split()[0]) < 1e-12
     assert float(out.split("value_deviation=")[1].split()[0]) < 1e-12
-    rc, _, err = run(capsys, "oracle-check", "--n", "9", "--count", "1")
-    assert rc == 2
+    # n = 9 and 10 too: oracle-check has the dense oracle's cap, no cap of its own
+    for n in ("9", "10"):
+        rc, out, _ = run(capsys, "oracle-check", "--n", n, "--count", "1", "--format", "json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["partitions"] == (1 << (int(n) - 1)) - 1 and doc["mismatches"] == 0
+        assert 0.0 <= doc["value_deviation"] < 1e-12
+    rc, out, err = run(capsys, "oracle-check", "--n", "11", "--count", "1")
+    assert (rc, out, err) == (2, "", "error: dense path supports 1..10 qubits, got 11\n")
 
 
 def test_bench_emits_csv(capsys):
@@ -329,25 +336,26 @@ def test_negative_tol_in_exponent_form_needs_an_equals_sign(capsys):
 # oracle-check --count 3 --seed 7 as the per-cut is_ppt verdicts gave it:
 # the JSON summary (printed by json.dumps with indent 2) and the table.
 # value_deviation is the largest gap between a cut's smallest PT eigenvalue
-# and half its minimum coefficient.
+# and half its minimum coefficient; the eigenvalues come from the partial
+# transpose's blocks, one batched eigensolver call per block size.
 ORACLE_CHECK = {
     2: (
-        {"partitions": 1, "mismatches": 0, "worst_boundary_margin": 0.05612656712521377,
-         "max_residual": 5.551115123125783e-17, "value_deviation": 2.7755575615628914e-17},
+        {"partitions": 1, "mismatches": 0, "worst_boundary_margin": 0.05612656712521373,
+         "max_residual": 5.551115123125783e-17, "value_deviation": 1.3877787807814457e-17},
         "n=2 states=3 partitions=1 mismatches=0 worst_boundary_margin=5.613e-02 "
-        "max_residual=5.551e-17 value_deviation=2.776e-17\n",
+        "max_residual=5.551e-17 value_deviation=1.388e-17\n",
     ),
     3: (
-        {"partitions": 3, "mismatches": 0, "worst_boundary_margin": 0.01864213554762814,
-         "max_residual": 8.326672684688674e-17, "value_deviation": 5.551115123125783e-17},
+        {"partitions": 3, "mismatches": 0, "worst_boundary_margin": 0.018642135547628197,
+         "max_residual": 4.163336342344337e-17, "value_deviation": 1.3877787807814457e-17},
         "n=3 states=3 partitions=3 mismatches=0 worst_boundary_margin=1.864e-02 "
-        "max_residual=8.327e-17 value_deviation=5.551e-17\n",
+        "max_residual=4.163e-17 value_deviation=1.388e-17\n",
     ),
     4: (
-        {"partitions": 7, "mismatches": 0, "worst_boundary_margin": 0.011616850395205686,
-         "max_residual": 1.5265566588595902e-16, "value_deviation": 1.1102230246251565e-16},
+        {"partitions": 7, "mismatches": 0, "worst_boundary_margin": 0.011616850395205693,
+         "max_residual": 2.7755575615628914e-17, "value_deviation": 1.3877787807814457e-17},
         "n=4 states=3 partitions=7 mismatches=0 worst_boundary_margin=1.162e-02 "
-        "max_residual=1.527e-16 value_deviation=1.110e-16\n",
+        "max_residual=2.776e-17 value_deviation=1.388e-17\n",
     ),
 }
 

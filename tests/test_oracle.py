@@ -15,6 +15,7 @@ from ghzent.oracle import (
     eigenvalues_symmetric,
     is_ppt_dense,
     partial_transpose,
+    smallest_pt_eigenvalue,
     to_dense,
 )
 from ghzent.state import GhzDiagonalState, random_state
@@ -162,10 +163,11 @@ def test_pure_ghz_is_npt_everywhere():
 
 def test_dense_comparison_cap():
     s = random_state(11, 0)
-    with pytest.raises(ValueError, match="dense path supports 1..10 qubits, got 11"):
-        is_ppt_dense(s, enumerate_bipartitions(11)[0])
-    with pytest.raises(ValueError, match="mixed qubit counts 4 and 3"):
-        is_ppt_dense(random_state(3, 0), enumerate_bipartitions(4)[0])
+    for route in (is_ppt_dense, smallest_pt_eigenvalue):
+        with pytest.raises(ValueError, match="dense path supports 1..10 qubits, got 11"):
+            route(s, enumerate_bipartitions(11)[0])
+        with pytest.raises(ValueError, match="mixed qubit counts 4 and 3"):
+            route(random_state(3, 0), enumerate_bipartitions(4)[0])
 
 
 def test_custom_tolerances_change_the_call(monkeypatch):
@@ -187,8 +189,9 @@ def test_spectrum_matches_block_coefficients(n):
     states = [random_state(n, 53 + 10 * n + i) for i in range(3)]
     states += [ghz_at(n, p_star - 3e-12), ghz_at(n, p_star + 3e-12)]
     for s in states:
+        rho = to_dense(s)
         for p in partitions:
-            dense = eigenvalues_symmetric(partial_transpose(to_dense(s), p.alpha1)).eigenvalues
+            dense = eigenvalues_symmetric(partial_transpose(rho, p.alpha1)).eigenvalues
             assert pt_spectrum_deviation(s, p, dense) < 1e-12
 
 
@@ -220,17 +223,18 @@ CUSTOM_TOLERANCES = (
 )
 
 
-def assert_eigenvalue_rule(state, partition):
+def assert_eigenvalue_rule(state, partitions):
     """is_ppt_dense decides: smallest PT eigenvalue >= -psd_tol, for each tolerance set.
 
     Each set is swapped in as ``ghzent.oracle.DEFAULT_ORACLE``, which is_ppt_dense reads.
     """
-    pt = partial_transpose(to_dense(state), partition.alpha1)
-    low = eigenvalues_symmetric(pt).eigenvalues[0]
-    for tolerances in CUSTOM_TOLERANCES:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ghzent.oracle, "DEFAULT_ORACLE", tolerances)
-            assert is_ppt_dense(state, partition) == (low >= -tolerances.psd_tol)
+    rho = to_dense(state)
+    for partition in partitions:
+        low = eigenvalues_symmetric(partial_transpose(rho, partition.alpha1)).eigenvalues[0]
+        for tolerances in CUSTOM_TOLERANCES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ghzent.oracle, "DEFAULT_ORACLE", tolerances)
+                assert is_ppt_dense(state, partition) == (low >= -tolerances.psd_tol)
 
 
 def verdict_corpus(n):
@@ -254,14 +258,13 @@ def test_is_ppt_dense_returns_the_eigenvalue_rule_on_a_corpus(n):
     # about a dozen cuts per state at n >= 6 keeps the eigensolver reference cheap
     partitions = partitions[:: max(1, len(partitions) // 12)]
     for state in verdict_corpus(n):
-        for partition in partitions:
-            assert_eigenvalue_rule(state, partition)
+        assert_eigenvalue_rule(state, partitions)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_partial_transpose_of_a_state_is_exactly_symmetric_on_every_cut(n):
     # eigenvalues_symmetric rejects a matrix that is not exactly symmetric,
-    # and oracle-check hands it this one
+    # and the tests hand it this one
     for state in verdict_corpus(n):
         rho = to_dense(state)
         assert np.array_equal(rho, rho.T)
@@ -273,8 +276,7 @@ def test_partial_transpose_of_a_state_is_exactly_symmetric_on_every_cut(n):
 @settings(max_examples=150, deadline=None)
 @given(sparse_states(max_n=6))  # exact zeros in the PT spectrum
 def test_is_ppt_dense_returns_the_eigenvalue_rule_on_sparse_weights(state):
-    for partition in enumerate_bipartitions(state.n):
-        assert_eigenvalue_rule(state, partition)
+    assert_eigenvalue_rule(state, enumerate_bipartitions(state.n))
 
 
 def test_default_psd_tol_is_the_coefficient_tolerance_in_eigenvalue_units():
@@ -347,36 +349,70 @@ TIED_FAMILIES = {
 @pytest.mark.parametrize("n", [9, 10])
 def test_analytic_and_dense_agree_on_tied_weights_on_every_cut(n, family):
     state = TIED_FAMILIES[family](n)
-    verdicts = [is_ppt_dense(state, p) for p in enumerate_bipartitions(n)]
-    assert verdicts == classify(state).ppt.tolist()
+    partitions = enumerate_bipartitions(n)
+    report = classify(state)
+    assert [is_ppt_dense(state, p) for p in partitions] == report.ppt.tolist()
+    # and in value: the smallest PT eigenvalue is half the minimum coefficient
+    lows = np.array([smallest_pt_eigenvalue(state, p)[0] for p in partitions])
+    assert np.abs(lows - report.values / 2).max() <= 1e-15
 
 
-def test_dense_matrix_is_built_once_per_state(monkeypatch):
-    build = ghzent.oracle._dense_from_weights
+def test_no_oracle_route_builds_the_dense_matrix(monkeypatch):
+    # Both routes work on rho's entries: neither calls the dense reference,
+    # and LAPACK sees 2 x 2 blocks, never a 2^n x 2^n matrix.
+    def refuse(*args):
+        raise AssertionError("the dense reference was called")
+
+    for name in ("to_dense", "partial_transpose", "eigenvalues_symmetric"):
+        monkeypatch.setattr(ghzent.oracle, name, refuse)
+    shapes = set()
+
+    def recording(solver):
+        def record(stack):
+            shapes.add(stack.shape[1:])
+            return solver(stack)
+
+        return record
+
+    for name in ("cholesky", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    state = random_state(7, 31)
+    partitions = enumerate_bipartitions(7)
+    assert [is_ppt_dense(state, part) for part in partitions] == classify(state).ppt.tolist()
+    for part in partitions:
+        smallest_pt_eigenvalue(state, part)
+    assert shapes == {(2, 2)}
+
+
+def test_entry_values_are_built_once_per_state(monkeypatch):
+    build = ghzent.oracle._values
     builds = []
 
     def counting_build(*args):
-        builds.append(args[0])
+        builds.append(len(args[0]))
         return build(*args)
 
-    monkeypatch.setattr(ghzent.oracle, "_dense_from_weights", counting_build)
+    monkeypatch.setattr(ghzent.oracle, "_values", counting_build)
     state = random_state(7, 31)
     partitions = enumerate_bipartitions(7)
     assert len(partitions) == 63
-    verdicts = [is_ppt_dense(state, part) for part in partitions]
-    assert verdicts == classify(state).ppt.tolist()
-    assert builds == []  # is_ppt_dense works on the entries, never on a matrix
-
-    rho = to_dense(state)
-    assert rho is to_dense(state)
-    assert builds == [7]
+    for part in partitions:
+        is_ppt_dense(state, part)
+        smallest_pt_eigenvalue(state, part)
+    assert builds == [64]  # one build across both routes and all 63 cuts
+    values = ghzent.oracle._entry_values(state)
+    assert values is ghzent.oracle._entry_values(state)
     with pytest.raises(ValueError):
-        rho[0, 0] = 1.0
-    assert np.array_equal(rho, build(7, state.lambda_plus, state.lambda_minus))
+        values[0] = 1.0
+    assert np.array_equal(values, build(state.lambda_plus, state.lambda_minus))
+    # to_dense scatters the kept values into a fresh matrix on every call
+    rho = to_dense(state)
+    assert rho is not to_dense(state) and np.array_equal(rho, to_dense(state))
+    assert builds == [64]
 
     noisy = mix_with_white_noise(state, 0.3)
-    assert to_dense(noisy) is not rho
-    assert builds == [7, 7]
+    is_ppt_dense(noisy, partitions[0])
+    assert builds == [64, 64]
 
 
 def scatter(dim, rows, cols, values):
@@ -411,6 +447,7 @@ def test_is_ppt_dense_tests_the_partial_transpose_on_every_cut(n, monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", recording)
     dim = 1 << n
     for state in (random_state(n, 110 + n), ghz_at(n, 0.6), GhzDiagonalState.maximally_mixed(n)):
+        rho = to_dense(state)
         for p in enumerate_bipartitions(n):
             seen.clear()
             is_ppt_dense(state, p)
@@ -420,13 +457,44 @@ def test_is_ppt_dense_tests_the_partial_transpose_on_every_cut(n, monkeypatch):
             # rho's pattern has one block size on every cut, so the one Cholesky
             # call sees every block, also on a cut where it raises
             assert len(seen) == len(blocks)
-            shifted = partial_transpose(to_dense(state), p.alpha1) + DEFAULT_ORACLE.psd_tol * np.eye(dim)
+            shifted = partial_transpose(rho, p.alpha1) + DEFAULT_ORACLE.psd_tol * np.eye(dim)
             outside = np.ones((dim, dim), dtype=bool)
             for stack, b in zip(seen, blocks):
                 at = (b[:, :, None], b[:, None, :])
                 assert np.array_equal(stack, shifted[at])
                 outside[at] = False
             assert not shifted[outside].any()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_smallest_pt_eigenvalue_reads_the_partial_transpose_on_every_cut(n, monkeypatch):
+    # The stacks smallest_pt_eigenvalue hands to the eigensolver, placed back
+    # at their indices, are the dense partial transpose bit for bit, and the
+    # minimum it returns is the dense spectrum's (every 8th cut at n = 8).
+    eigh = np.linalg.eigh
+    seen = []
+
+    def recording(stack):
+        seen.append(stack.copy())
+        return eigh(stack)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    dim = 1 << n
+    for state in (random_state(n, 120 + n), ghz_at(n, 0.6), GhzDiagonalState.maximally_mixed(n)):
+        rho = to_dense(state)
+        for i, p in enumerate(enumerate_bipartitions(n)):
+            seen.clear()
+            low, residual = smallest_pt_eigenvalue(state, p)
+            _, _, blocks = ghzent.oracle._cut_layout(n, p.alpha1.bits)
+            assert len(seen) == len(blocks)
+            pt = partial_transpose(rho, p.alpha1)
+            rebuilt = np.zeros((dim, dim))
+            for stack, b in zip(seen, blocks):
+                rebuilt[b[:, :, None], b[:, None, :]] = stack
+            assert np.array_equal(rebuilt, pt)
+            assert 0.0 <= residual <= 1e-15
+            if n < 8 or i % 8 == 0:
+                assert abs(low - eigenvalues_symmetric(pt).eigenvalues[0]) <= 1e-15
 
 
 def test_cut_layouts_are_kept_per_cut_and_hold_no_weights():
@@ -498,6 +566,11 @@ def random_block_matrix(rng, dim, tol):
     return m
 
 
+def is_positive_definite(dim, rows, cols, values, shift):
+    """The block test on M holding ``values[i]`` at (``rows[i]``, ``cols[i]``)."""
+    return ghzent.oracle._factorizes(ghzent.oracle._layout(dim, rows, cols), values, shift)
+
+
 def test_block_test_agrees_with_dense_cholesky_on_matrices_that_are_not_ghz_diagonal():
     rng = np.random.default_rng(2024)
     verdicts = []
@@ -513,7 +586,7 @@ def test_block_test_agrees_with_dense_cholesky_on_matrices_that_are_not_ghz_diag
             dense = True
         except np.linalg.LinAlgError:
             dense = False
-        got = ghzent.oracle._is_positive_definite(dim, rows, cols, m[rows, cols], tol)
+        got = is_positive_definite(dim, rows, cols, m[rows, cols], tol)
         assert got == dense
         verdicts.append(dense)
     assert 0.1 < np.mean(verdicts) < 0.9  # both verdicts are well represented
@@ -525,13 +598,13 @@ def test_block_test_on_whole_matrix_single_blocks_and_empty_rows(dim):
     g = rng.normal(size=(dim, dim))
     whole = g @ g.T + np.eye(dim)  # one block: every index joined
     rows, cols = np.nonzero(whole)
-    assert ghzent.oracle._is_positive_definite(dim, rows, cols, whole[rows, cols], 1e-9)
+    assert is_positive_definite(dim, rows, cols, whole[rows, cols], 1e-9)
     whole[0, 0] = -1.0
-    assert not ghzent.oracle._is_positive_definite(dim, rows, cols, whole[rows, cols], 1e-9)
+    assert not is_positive_definite(dim, rows, cols, whole[rows, cols], 1e-9)
     # no entry at all: every row is a 1 x 1 zero block, positive once shifted
     none = np.array([], dtype=np.intp)
-    assert ghzent.oracle._is_positive_definite(dim, none, none, np.array([]), 1e-9)
+    assert is_positive_definite(dim, none, none, np.array([]), 1e-9)
     # one negative diagonal entry among empty rows
     last = np.array([dim - 1])
-    assert not ghzent.oracle._is_positive_definite(dim, last, last, np.array([-1e-6]), 1e-9)
-    assert ghzent.oracle._is_positive_definite(dim, last, last, np.array([-1e-10]), 1e-9)
+    assert not is_positive_definite(dim, last, last, np.array([-1e-6]), 1e-9)
+    assert is_positive_definite(dim, last, last, np.array([-1e-10]), 1e-9)

@@ -12,7 +12,6 @@ PUBLIC_NAMES = {
     "Bipartition",
     "enumerate_bipartitions",
     "GhzDiagonalState",
-    "to_dense",
     "random_state",
     "state_to_json_dict",
     "state_from_json_dict",
@@ -25,16 +24,13 @@ PUBLIC_NAMES = {
     "noise_threshold",
     "full_entanglement_threshold",
     "DEFAULT_ORACLE",
-    "SpectrumResult",
-    "partial_transpose",
-    "eigenvalues_symmetric",
     "is_ppt_dense",
     "__version__",
 }
 
 
 def test_public_names_are_pinned():
-    assert len(ghzent.__all__) == len(PUBLIC_NAMES) == 23
+    assert len(ghzent.__all__) == len(PUBLIC_NAMES) == 19
     assert set(ghzent.__all__) == PUBLIC_NAMES
     for name in ghzent.__all__:
         assert hasattr(ghzent, name), name
